@@ -52,7 +52,7 @@ def _manifest(argv, t0: float, inputs: dict[str, str] | None = None, seed=None):
     out = {
         "argv": argv,
         "version": __version__,
-        "elapsed_ms": round(1000 * (time.time() - t0), 3),
+        "elapsed_ms": round(1000 * (time.perf_counter() - t0), 3),
     }
     if inputs:
         out["input_sha256"] = inputs
@@ -127,7 +127,7 @@ def _dot_incidence(h: Hypergraph) -> str:
 
 
 def cmd_gen(args, argv) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     h = _gen_family(args)
     comment = f"generated by linhyp gen --family {args.family}"
     if args.dot:
@@ -148,7 +148,7 @@ def cmd_gen(args, argv) -> int:
 
 
 def cmd_solve(args, argv) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     h = hgio.load(args.file)
     if h.n > _guard("solve_n"):
         raise GuardExceeded(
@@ -169,7 +169,7 @@ def cmd_solve(args, argv) -> int:
 
 
 def cmd_defic(args, argv) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     h = hgio.load(args.file)
     value, xset = deficiency(h, guard_n=_guard("defic_n"))
     counts = xset.partition_counts()
@@ -189,7 +189,7 @@ def cmd_defic(args, argv) -> int:
 
 
 def cmd_dual(args, argv) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     h = hgio.load(args.file)
     g = dual_graph(h)
     alpha = max_matching_general(g).size
@@ -208,7 +208,7 @@ def cmd_dual(args, argv) -> int:
 
 
 def cmd_prob(args, argv) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sub = args.prob_cmd
     if sub == "bound":
         value = final_bound(args.k, args.n, args.c)
@@ -288,7 +288,7 @@ def _builtin_corpus() -> list[tuple[str, Hypergraph]]:
 
 
 def cmd_verify(args, argv) -> int:
-    t0 = time.time()
+    t0 = time.perf_counter()
     sub = args.verify_cmd
     if sub == "catalog":
         reports = catalog_report()

@@ -17,6 +17,14 @@ class HypergraphError(ValueError):
     """Raised when a construction or operation precondition is violated."""
 
 
+class CertificateError(RuntimeError):
+    """A computed answer failed the independent re-check of its certificate.
+
+    This signals a defect in the library, never bad input.  The checks that
+    raise it are explicit, so they also run under ``python -O``.
+    """
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A finite hypergraph on vertices ``0..n-1`` with an edge multiset."""
@@ -123,9 +131,6 @@ class Graph:
             adj[b].add(a)
         return adj
 
-    def neighbors(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
-
 
 def is_k_uniform(h: Hypergraph, k: int) -> bool:
     """True iff every edge has exactly k vertices."""
@@ -143,16 +148,6 @@ def is_linear(h: Hypergraph) -> bool:
             if (masks[i] & masks[j]).bit_count() > 1:
                 return False
     return True
-
-
-def is_intersecting(h: Hypergraph) -> bool:
-    """True iff every two edges share at least one vertex."""
-    masks = h.edge_masks()
-    return all(
-        masks[i] & masks[j]
-        for i in range(len(masks))
-        for j in range(i + 1, len(masks))
-    )
 
 
 def degrees(h: Hypergraph) -> list[int]:

@@ -8,7 +8,8 @@ Host vertices may carry additional external edges; those land in E*(X).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
+from functools import lru_cache
+from operator import ge, itemgetter
 from typing import Callable, Optional
 
 from .catalog import DEFIC_WEIGHT, NAMES, TAU_OF_CLASS, order_class, special
@@ -74,8 +75,125 @@ class SpecialSet:
 EMPTY_SET = SpecialSet(())
 
 
+@dataclass(frozen=True)
+class _Step:
+    """One pattern edge of the search, with what it must satisfy."""
+
+    edge: int
+    degrees: tuple[int, ...]  # pattern degrees of the edge's vertices, descending
+    meets: tuple[int, ...]  # |p & p_t| for the pattern edge p_t of each earlier step t
+    via_vertex: int  # a vertex of this edge placed at an earlier step, or -1
+    via_step: int  # else an earlier step whose edge meets this one
+    place: tuple[tuple[int, int], ...]  # (v, t): v's image is shared with step t's image
+    inside: tuple[int, ...]  # placed vertices whose image must lie in this edge's image
+
+
+@dataclass(frozen=True)
+class _Plan:
+    """Per-kind search data for :func:`find_embeddings`, built once."""
+
+    n: int
+    steps: tuple[_Step, ...]
+    leaves: tuple[tuple[int, tuple[int, ...]], ...]  # (edge, its degree-1 vertices)
+    layout: tuple[int, ...]  # representative key: vertex v is v, edge e is n + e
+    vertex_at: tuple[int, ...]  # position of each vertex in the key
+    edge_at: tuple[int, ...]  # position of each edge in the key
+
+
+@lru_cache(maxsize=None)
+def _plan(kind: str) -> _Plan:
+    pattern = special(kind)
+    if not is_linear(pattern):
+        raise HypergraphError(f"edge-level search needs a linear pattern, not {kind}")
+    n, edges = pattern.n, [set(e) for e in pattern.edges]
+    deg = pattern.degrees()
+
+    # search order: most-constrained first (most vertices already mapped)
+    order = [0]
+    seen = set(edges[0])
+    while len(order) < len(edges):
+        nxt = max(
+            (i for i in range(len(edges)) if i not in order),
+            key=lambda i: (len(seen & edges[i]), -i),
+        )
+        order.append(nxt)
+        seen |= edges[nxt]
+    first_step: dict[int, int] = {}  # vertex -> step of its first edge
+    hits = [0] * n  # edges of each vertex among the steps so far
+    steps = []
+    for s, e in enumerate(order):
+        meets = tuple(len(edges[e] & edges[t]) for t in order[:s])
+        placed_before = [v for v in sorted(edges[e]) if hits[v] >= 2]
+        via_step = next((t for t, k in enumerate(meets) if k), -1)
+        place, inside = [], []
+        for v in sorted(edges[e]):
+            hits[v] += 1
+            if hits[v] == 1:
+                first_step[v] = s
+            elif hits[v] == 2:
+                place.append((v, first_step[v]))
+            else:
+                inside.append(v)
+        steps.append(
+            _Step(
+                e,
+                tuple(sorted((deg[v] for v in edges[e]), reverse=True)),
+                meets,
+                placed_before[0] if placed_before else -1,
+                via_step,
+                tuple(place),
+                tuple(inside),
+            )
+        )
+    leaves = tuple(
+        (e, tuple(v for v in sorted(edges[e]) if deg[v] == 1))
+        for e in range(len(edges))
+    )
+
+    # The representative of an edge set is the least key, where the key
+    # lists, over the order "next = least index touching the mapped region",
+    # each edge's image and then the images of the vertices it newly maps.
+    layout: list[int] = [n]
+    layout.extend(sorted(edges[0]))
+    seen = set(edges[0])
+    remaining = set(range(1, len(edges)))
+    while remaining:
+        nxt = min(i for i in remaining if seen & edges[i])
+        layout.append(n + nxt)
+        layout.extend(sorted(edges[nxt] - seen))
+        seen |= edges[nxt]
+        remaining.discard(nxt)
+    return _Plan(
+        n,
+        tuple(steps),
+        leaves,
+        tuple(layout),
+        tuple(layout.index(v) for v in range(n)),
+        tuple(layout.index(n + e) for e in range(len(edges))),
+    )
+
+
 def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
-    """All edge-induced copies of a catalog entry, one per edge-index set."""
+    """All edge-induced copies of a catalog entry, one per edge-index set.
+
+    The search maps pattern edges to host edges, most-constrained edge
+    first (the one sharing the most vertices with those already mapped).
+    Candidates for an edge are the host edges at an already-mapped vertex
+    or edge, drawn from a vertex-to-incident-edges index.  One is kept if
+    it has the right size, is unused, and meets every earlier image in
+    exactly as many vertices as the pattern edges meet.  A host edge whose
+    vertex degrees, sorted, fall below the pattern edge's anywhere can host
+    no image of it and is never tried.  A pattern vertex of degree >= 2 is
+    placed at the one vertex its edges' images share, and placed images are
+    distinct.  Degree-1 vertices take the leftover slots of their edge's
+    image in increasing order.
+
+    Each copy is reported once, by its representative: of all mappings onto
+    the same edge set, the one whose key is least.  The key lists, over the
+    pattern edges in the order "next = least index touching the mapped
+    region", the host edge index and then the images of the pattern
+    vertices that edge newly maps.  The list is sorted by ``edge_indices``.
+    """
     pattern = special(kind)
     if host.n < pattern.n or host.m < pattern.m:
         return []
@@ -84,62 +202,89 @@ def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
         return [
             Embedding("H4", tuple(e), (i,)) for i, e in enumerate(host.edges)
         ]
-    host_deg = host.degrees()
-    pat_deg = pattern.degrees()
-    # order pattern edges so each one touches the previously mapped region
-    order = [0]
-    seen = set(pattern.edges[0])
-    remaining = set(range(1, pattern.m))
-    while remaining:
-        nxt = min(i for i in remaining if seen & set(pattern.edges[i]))
-        order.append(nxt)
-        seen |= set(pattern.edges[nxt])
-        remaining.discard(nxt)
+    plan = _plan(kind)
+    n, steps, leaves = plan.n, plan.steps, plan.leaves
+    masks = host.edge_masks()
+    deg = host.degrees()
+    host_degrees = [sorted((deg[v] for v in e), reverse=True) for e in host.edges]
+    fits: dict[tuple[int, ...], int] = {}  # pattern degrees -> host edge bitmask
+    for step in steps:
+        if step.degrees not in fits:
+            fits[step.degrees] = sum(
+                1 << i
+                for i, hd in enumerate(host_degrees)
+                if len(hd) == len(step.degrees) and all(map(ge, hd, step.degrees))
+            )
+    fit = [fits[step.degrees] for step in steps]
+    if not all(fit):
+        return []
+    incident: list[list[int]] = [[] for _ in range(host.n)]
+    for i, e in enumerate(host.edges):
+        for v in e:
+            incident[v].append(i)
+    values = [0] * len(plan.layout)  # vertex images, then edge images
+    step_masks = [0] * len(steps)
+    key_of = itemgetter(*plan.layout)
+    best: dict[int, tuple[int, ...]] = {}  # edge-set bitmask -> least key
 
-    found: dict[frozenset[int], Embedding] = {}
-    vmap: dict[int, int] = {}
-    used_host_vertices: set[int] = set()
-    used_edges: list[int] = []
-
-    def extend(step: int) -> None:
-        if step == len(order):
-            key = frozenset(used_edges)
-            if key not in found:
-                full_map = tuple(vmap[v] for v in range(pattern.n))
-                order_to_cat = {order[i]: used_edges[i] for i in range(len(order))}
-                eidx = tuple(order_to_cat[i] for i in range(pattern.m))
-                found[key] = Embedding(kind, full_map, eidx)
+    def extend(s: int, used: int, placed: int) -> None:
+        if s == len(steps):
+            for e, free_vertices in leaves:
+                slots = masks[values[n + e]] & ~placed
+                for v in free_vertices:
+                    low = slots & -slots
+                    values[v] = low.bit_length() - 1
+                    slots ^= low
+            key = key_of(values)
+            old = best.get(used)
+            if old is None or key < old:
+                best[used] = key
             return
-        pe = pattern.edges[order[step]]
-        mapped = [v for v in pe if v in vmap]
-        free = [v for v in pe if v not in vmap]
-        must_contain = {vmap[v] for v in mapped}
-        for hi, he in enumerate(host.edges):
-            if hi in used_edges or len(he) != len(pe):
+        step = steps[s]
+        allowed = fit[s] & ~used
+        if s == 0:
+            cands = range(host.m)
+        elif step.via_vertex >= 0:
+            cands = incident[values[step.via_vertex]]
+        else:
+            cands = set()
+            free = step_masks[step.via_step] & ~placed
+            while free:
+                low = free & -free
+                cands.update(incident[low.bit_length() - 1])
+                free ^= low
+        for hi in cands:
+            if not allowed >> hi & 1:
                 continue
-            hset = set(he)
-            if not must_contain <= hset:
-                continue
-            slots = sorted(hset - must_contain)
-            if len(slots) != len(free):
-                continue
-            if any(s in used_host_vertices for s in slots):
-                continue
-            for perm in permutations(slots):
-                if any(host_deg[w] < pat_deg[v] for v, w in zip(free, perm)):
+            hm = masks[hi]
+            for t, k in enumerate(step.meets):
+                if (hm & step_masks[t]).bit_count() != k:
+                    break
+            else:
+                if not all(hm >> values[v] & 1 for v in step.inside):
                     continue
-                for v, w in zip(free, perm):
-                    vmap[v] = w
-                    used_host_vertices.add(w)
-                used_edges.append(hi)
-                extend(step + 1)
-                used_edges.pop()
-                for v, w in zip(free, perm):
-                    del vmap[v]
-                    used_host_vertices.discard(w)
+                now = placed
+                for v, t in step.place:
+                    x = hm & step_masks[t]  # one vertex: the edges meet once
+                    if now & x:
+                        break
+                    values[v] = x.bit_length() - 1
+                    now |= x
+                else:
+                    values[n + step.edge] = hi
+                    step_masks[s] = hm
+                    extend(s + 1, used | 1 << hi, now)
 
-    extend(0)
-    return sorted(found.values(), key=lambda e: e.edge_indices)
+    extend(0, 0, 0)
+    found = [
+        Embedding(
+            kind,
+            tuple(key[i] for i in plan.vertex_at),
+            tuple(key[i] for i in plan.edge_at),
+        )
+        for key in best.values()
+    ]
+    return sorted(found, key=lambda e: e.edge_indices)
 
 
 def estar(host: Hypergraph, x: SpecialSet) -> frozenset[int]:

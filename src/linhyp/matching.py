@@ -11,7 +11,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
 
-from .core import Graph, Hypergraph, HypergraphError, dual_graph, graph_components
+from .core import (
+    CertificateError,
+    Graph,
+    Hypergraph,
+    HypergraphError,
+    dual_graph,
+    graph_components,
+)
 from .solver import GuardExceeded, tau
 
 
@@ -39,27 +46,44 @@ class Matching:
 
 
 def max_matching_bipartite(g: Graph) -> Matching:
-    """Maximum matching by alternating-path augmentation from the left side."""
+    """Maximum matching by alternating-path augmentation from the left side.
+
+    Left vertices are tried in increasing order; each search is a depth-first
+    walk over neighbours in increasing order, kept on an explicit stack so
+    that long augmenting paths need no recursion.
+    """
     if g.bipartition is None:
         raise HypergraphError("bipartite matching needs a bipartition")
     left = sorted(g.bipartition[0])
     adj = g.adjacency()
+    nbrs = {v: sorted(adj[v]) for v in left}  # frames hold left vertices only
     match: dict[int, int] = {}  # both directions
 
-    def try_augment(v: int, visited: set[int]) -> bool:
-        for w in sorted(adj[v]):
-            if w in visited:
+    for root in left:
+        if root in match:
+            continue
+        visited: set[int] = set()
+        stack = [(root, iter(nbrs[root]))]  # (left vertex, its untried neighbours)
+        through: list[int] = []  # the neighbour each frame but the top is trying
+        while stack:
+            untried = stack[-1][1]
+            for w in untried:
+                if w not in visited:
+                    break
+            else:
+                stack.pop()
+                if through:
+                    through.pop()
                 continue
             visited.add(w)
-            if w not in match or try_augment(match[w], visited):
-                match[v] = w
-                match[w] = v
-                return True
-        return False
-
-    for v in left:
-        if v not in match:
-            try_augment(v, set())
+            through.append(w)
+            if w in match:
+                stack.append((match[w], iter(nbrs[match[w]])))
+                continue
+            for (u, _), x in zip(stack, through):
+                match[u] = x
+                match[x] = u
+            break
     pairs = sorted((v, match[v]) for v in left if v in match)
     return Matching(tuple(pairs))
 
@@ -97,7 +121,8 @@ def hall_violator(g: Graph, side: int = 0) -> Optional[frozenset[int]]:
                 frontier.append(back)
     # every vertex of reach_other is matched (else we could augment),
     # and matched into reach_side, so |N(S)| = |reach_other| < |S|
-    assert len(reach_other) < len(reach_side)
+    if len(reach_other) >= len(reach_side):
+        raise CertificateError("Hall violator has as many neighbours as members")
     return frozenset(reach_side)
 
 
@@ -176,7 +201,8 @@ def max_matching_general(g: Graph) -> Matching:
             w = ppv
     pairs = sorted((v, match[v]) for v in range(n) if match[v] > v)
     m = Matching(tuple(pairs))
-    assert m.check(g)
+    if not m.check(g):
+        raise CertificateError("blossom matching fails its re-check")
     return m
 
 
@@ -217,7 +243,7 @@ def tutte_berge_certificate(g: Graph, guard_n: int = 20) -> tuple[frozenset[int]
 
     Weak duality makes any attaining S a minimizer, so the first such S in
     (popcount, lexicographic) order is returned.  Agreement with the blossom
-    value is asserted.
+    value is checked; a miss raises ``CertificateError``.
     """
     if g.n > guard_n:
         raise GuardExceeded(f"n={g.n} exceeds certificate guard {guard_n}")
@@ -228,7 +254,7 @@ def tutte_berge_certificate(g: Graph, guard_n: int = 20) -> tuple[frozenset[int]
             value = (g.n + len(s) - odd_components(g, s)) // 2
             if value == alpha:
                 return s, alpha
-    raise AssertionError("Tutte-Berge equality must be attained")
+    raise CertificateError("Tutte-Berge equality must be attained")
 
 
 def check_dual_identity(h: Hypergraph) -> bool:

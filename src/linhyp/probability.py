@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Hypergraph, HypergraphError, is_k_uniform
+from .core import CertificateError, Hypergraph, HypergraphError, is_k_uniform
 from .rng import SplitMix64
 
 GUARD_BAND = 1e-12
@@ -186,7 +186,8 @@ def claim_c3_envelope() -> tuple[float, float]:
     """
 
     argmax, value = _golden_section_max(envelope_g, 1.000001, 100.0)
-    assert value < math.log(5)
+    if not value < math.log(5):
+        raise CertificateError(f"envelope maximum {value} is not below ln 5")
     return value, argmax
 
 

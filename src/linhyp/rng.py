@@ -38,8 +38,3 @@ class SplitMix64:
             j = i + self.randbelow(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]
-
-    def shuffle(self, items: list) -> None:
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randbelow(i + 1)
-            items[i], items[j] = items[j], items[i]

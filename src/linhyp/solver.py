@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .core import Graph, Hypergraph, HypergraphError, onh
+from .core import CertificateError, Graph, Hypergraph, HypergraphError, onh
 
 
 class GuardExceeded(RuntimeError):
@@ -149,7 +149,8 @@ def tau(h: Hypergraph) -> TransversalResult:
     result = TransversalResult(
         best_size, tuple(sorted(best_set)), nodes, "branch_and_bound"
     )
-    assert result.check(h)
+    if not result.check(h):
+        raise CertificateError(f"tau witness {result.witness} fails its re-check")
     return result
 
 

@@ -5,7 +5,9 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from linhyp.algebra import l_k, random_linear
+import pytest
+
+from linhyp.algebra import l_k, projective_plane, random_linear
 from linhyp.catalog import special
 from linhyp.core import (
     Graph,
@@ -14,8 +16,10 @@ from linhyp.core import (
     cycle_graph,
     dual_graph,
     graph_isomorphic,
+    incidence_graph,
 )
 from linhyp.matching import (
+    Matching,
     check_dual_identity,
     hall_violator,
     max_matching_bipartite,
@@ -24,6 +28,30 @@ from linhyp.matching import (
     odd_components,
     tutte_berge_certificate,
 )
+
+
+def recursive_bipartite_matching(g: Graph) -> Matching:
+    """Reference: the same augmenting-path search written recursively."""
+    left = sorted(g.bipartition[0])
+    adj = g.adjacency()
+    match: dict[int, int] = {}
+
+    def try_augment(v: int, visited: set[int]) -> bool:
+        for w in sorted(adj[v]):
+            if w in visited:
+                continue
+            visited.add(w)
+            if w not in match or try_augment(match[w], visited):
+                match[v] = w
+                match[w] = v
+                return True
+        return False
+
+    for v in left:
+        if v not in match:
+            try_augment(v, set())
+    return Matching(tuple(sorted((v, match[v]) for v in left if v in match)))
+
 
 def petersen() -> Graph:
     edges = (
@@ -67,6 +95,26 @@ class TestBipartite:
         g = complete_bipartite(4, 2)
         m = max_matching_bipartite(g)
         assert m.check(g)
+
+    def test_long_path_needs_no_recursion(self):
+        # path a_1 - l_1 - a_2 - l_2 - ... - a_k - l_k on 4000 vertices; every
+        # l_i < k first takes a_{i+1}, so l_k augments back along the path
+        k = 2000
+        left = list(range(k))
+        right = [2 * k - 1 - i for i in range(k)]  # a_{i+1}, ids descending
+        edges = [(left[i], right[i]) for i in range(k)]
+        edges += [(left[i], right[i + 1]) for i in range(k - 1)]
+        g = Graph(2 * k, edges, bipartition=(left, right))
+        m = max_matching_bipartite(g)
+        assert m.check(g)
+        assert m.pairs == tuple((left[i], right[i]) for i in range(k))
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+    def test_same_pairs_as_recursive_reference(self, q):
+        g = incidence_graph(projective_plane(q))
+        m = max_matching_bipartite(g)
+        assert m == recursive_bipartite_matching(g)
+        assert m.size == q * q + q + 1
 
 
 class TestHallViolator:
