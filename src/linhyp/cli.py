@@ -30,7 +30,7 @@ from .probability import (
     threshold_scan,
 )
 from .solver import GuardExceeded, tau
-from .verify import BOUND_IDS, HypothesisViolation, bound_check, catalog_report, defic_identity_check, theorem_mainyy_check
+from .verify import BOUND_IDS, HypothesisViolation, bound_check, catalog_report, defic_identity_check, mainyy_identities_hold
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -363,7 +363,7 @@ def cmd_verify(args, argv) -> int:
             h = algebra.affine_residual(args.q, s)
             t = tau(h).tau
             rows.append((s, t, h.n, h.m, Fraction(h.n + h.m, args.q + 1)))
-            oks[s] = theorem_mainyy_check(args.q, s)
+            oks[s] = mainyy_identities_hold(args.q, s, h, t)
         if args.table:
             q = args.q
             print(f"residuals of the order-{q} affine plane")

@@ -76,6 +76,15 @@ class Hypergraph:
             out.append(m)
         return out
 
+    def incidence_masks(self) -> list[int]:
+        """Vertices as edge bitmasks (bit i set iff the vertex lies in edge i)."""
+        out = [0] * self.n
+        for i, e in enumerate(self.edges):
+            bit = 1 << i
+            for v in e:
+                out[v] |= bit
+        return out
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -141,12 +150,18 @@ def is_linear(h: Hypergraph) -> bool:
     """True iff every pair of distinct edges (by index) shares at most one vertex.
 
     A duplicated edge of size >= 2 therefore makes the hypergraph non-linear.
+    For each edge, the other edges at each of its vertices are edge bitmasks;
+    two of them overlap iff some other edge meets this one twice.
     """
-    masks = h.edge_masks()
-    for i in range(len(masks)):
-        for j in range(i + 1, len(masks)):
-            if (masks[i] & masks[j]).bit_count() > 1:
+    inc = h.incidence_masks()
+    for i, e in enumerate(h.edges):
+        others = ~(1 << i)
+        seen = 0
+        for v in e:
+            at_v = inc[v] & others
+            if at_v & seen:
                 return False
+            seen |= at_v
     return True
 
 

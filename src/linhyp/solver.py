@@ -50,102 +50,103 @@ def tau_bruteforce(h: Hypergraph, guard_n: int = 25) -> TransversalResult:
     raise AssertionError("unreachable: V(H) is always a transversal")
 
 
-def _greedy_cover(masks: list[int], n: int) -> list[int]:
+def _greedy_cover(inc: list[int], uncovered: int) -> list[int]:
     # repeatedly take the vertex covering the most uncovered edges (tie: low id)
-    uncovered = list(masks)
     cover = []
     while uncovered:
-        best_v, best_cnt = -1, -1
-        for v in range(n):
-            bit = 1 << v
-            cnt = sum(1 for em in uncovered if em & bit)
-            if cnt > best_cnt:
-                best_v, best_cnt = v, cnt
+        best_v = max(range(len(inc)), key=lambda v: (uncovered & inc[v]).bit_count())
         cover.append(best_v)
-        bit = 1 << best_v
-        uncovered = [em for em in uncovered if not em & bit]
+        uncovered &= ~inc[best_v]
     return cover
 
 
-def _lower_bound(uncovered: list[int]) -> int:
-    """max(greedy disjoint-edge packing, ceil(m / Delta)) on uncovered edges."""
-    if not uncovered:
-        return 0
-    taken = 0
-    packing = 0
-    for em in uncovered:
-        if not em & taken:
-            packing += 1
-            taken |= em
-    degs: dict[int, int] = {}
-    for em in uncovered:
-        m = em
-        while m:
-            v = (m & -m).bit_length() - 1
-            degs[v] = degs.get(v, 0) + 1
-            m &= m - 1
-    dmax = max(degs.values())
-    count_bound = -(-len(uncovered) // dmax)
-    return max(packing, count_bound)
-
-
 def tau(h: Hypergraph) -> TransversalResult:
-    """Exact transversal number by branch and bound.
+    """Exact transversal number by bitset branch and bound.
 
-    Branching: pick an uncovered edge of minimum size (tie: lowest index)
-    and branch on its vertices in descending degree over uncovered edges
-    (tie: lowest id); each later branch forbids the vertices tried before
-    it.  Lower bound: disjoint uncovered edges plus a counting bound; upper
-    bound seeded by a greedy cover.  Deterministic result and witness.
+    The uncovered edges are one bitmask over edge indices, so covering ``v``
+    is ``unc & ~inc[v]`` and a residual degree is a popcount.  One pass per
+    node over the uncovered edges, in index order, returns on a dead edge
+    (no allowed vertex left), packs greedily into disjoint sets both the
+    allowed parts and the whole edges, and picks the first allowed part of
+    minimum size.  Lower bounds: the larger packing (greedy packing depends
+    on order, so neither packing dominates the other), then the top-degree
+    bound, the least t such that the t largest residual degrees of allowed
+    vertices sum to at least the number of uncovered edges.  Branching: on
+    the picked part's vertices in descending residual degree (tie: lowest
+    id); each later branch forbids the vertices tried before it.  The upper
+    bound is seeded by a greedy cover.  Every bound holds in its whole
+    subtree, so tau and the witness (the DFS's first optimum) do not depend
+    on the bounds; ``nodes_explored`` is a work counter that a stronger bound
+    lowers.
     """
     masks = h.edge_masks()
     if not masks:
         return TransversalResult(0, (), 0, "branch_and_bound")
-    greedy = _greedy_cover(masks, h.n)
+    inc = h.incidence_masks()
+    everything = (1 << len(masks)) - 1
+    # the same masks keyed by the single bit of their edge or vertex, so a
+    # walk over the set bits of a mask needs no bit_length per step
+    edge_at = {1 << i: em for i, em in enumerate(masks)}
+    inc_at = {1 << v: iv for v, iv in enumerate(inc)}
+    greedy = _greedy_cover(inc, everything)
     best_size = len(greedy)
     best_set = list(greedy)
     nodes = 0
 
-    def dfs(uncovered: list[int], chosen: list[int], forbidden: int) -> None:
+    def dfs(unc: int, chosen: list[int], forbidden: int) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
-        if not uncovered:
+        if not unc:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_set = list(chosen)
             return
-        if len(chosen) + _lower_bound(uncovered) >= best_size:
-            return
-        # smallest uncovered edge, restricted to allowed vertices
-        pick_i, pick_allowed = -1, 0
-        pick_size = 1 << 62
-        for i, em in enumerate(uncovered):
-            allowed = em & ~forbidden
+        allow = ~forbidden
+        reach = taken = packing = whole_taken = whole_packing = 0
+        pick, pick_size = 0, 1 << 62
+        rest = unc
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            em = edge_at[low]
+            allowed = em & allow
             if not allowed:
                 return  # this edge can no longer be covered
+            reach |= allowed
+            if not allowed & taken:
+                packing += 1
+                taken |= allowed
+            if not em & whole_taken:
+                whole_packing += 1
+                whole_taken |= em
             sz = allowed.bit_count()
             if sz < pick_size:
-                pick_i, pick_allowed, pick_size = i, allowed, sz
-        degs: dict[int, int] = {}
-        m = pick_allowed
-        while m:
-            v = (m & -m).bit_length() - 1
-            degs[v] = 0
-            m &= m - 1
-        for em in uncovered:
-            for v in degs:
-                if em & (1 << v):
-                    degs[v] += 1
-        order = sorted(degs, key=lambda v: (-degs[v], v))
+                pick, pick_size = allowed, sz
+        room = best_size - len(chosen)
+        if packing >= room or whole_packing >= room:
+            return
+        degs = {}
+        while reach:
+            low = reach & -reach
+            reach ^= low
+            degs[low] = (unc & inc_at[low]).bit_count()
+        # top-degree bound: prune unless room - 1 vertices can cover unc
+        if sum(sorted(degs.values(), reverse=True)[: room - 1]) < unc.bit_count():
+            return
+        order = []
+        while pick:
+            low = pick & -pick
+            pick ^= low
+            order.append((-degs[low], low))
+        order.sort()
         banned = forbidden
-        for v in order:
-            bit = 1 << v
-            chosen.append(v)
-            dfs([em for em in uncovered if not em & bit], chosen, banned)
+        for _, bit in order:
+            chosen.append(bit.bit_length() - 1)
+            dfs(unc & ~inc_at[bit], chosen, banned)
             chosen.pop()
             banned |= bit
 
-    dfs(masks, [], 0)
+    dfs(everything, [], 0)
     result = TransversalResult(
         best_size, tuple(sorted(best_set)), nodes, "branch_and_bound"
     )

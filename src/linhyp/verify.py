@@ -18,6 +18,7 @@ from .core import (
     Graph,
     Hypergraph,
     HypergraphError,
+    components,
     degrees,
     is_connected,
     is_k_uniform,
@@ -345,7 +346,7 @@ def _check_property_p(h, deg, check_double_h4: bool = True):
         sub = Hypergraph(
             len(kept_vertices), [[rid[u] for u in e] for e in kept_edges]
         )
-        comps = _components_with_isolated(sub)
+        comps = components(sub)
         if len(comps) == 2:
             if min(len(c) for c in comps) != 1:
                 return False, f"H - {v} has two non-trivial components"
@@ -369,26 +370,6 @@ def _check_property_p(h, deg, check_double_h4: bool = True):
                 if gs & a and gs & b:
                     return False, f"double-H4 at deleted vertex {v}"
     return True, None
-
-
-def _components_with_isolated(h: Hypergraph) -> list[set[int]]:
-    parent = list(range(h.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in h.edges:
-        for v in e[1:]:
-            ra, rb = find(e[0]), find(v)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, set[int]] = {}
-    for v in range(h.n):
-        groups.setdefault(find(v), set()).add(v)
-    return list(groups.values())
 
 
 def catalog_report() -> dict[str, PropertyReport]:
@@ -489,7 +470,12 @@ def theorem_mainyy_check(q: int, s: int) -> bool:
     from .algebra import affine_residual
 
     h = affine_residual(q, s)
-    t = tau(h).tau
+    return mainyy_identities_hold(q, s, h, tau(h).tau)
+
+
+def mainyy_identities_hold(q: int, s: int, h: Hypergraph, t: int) -> bool:
+    """The identities of ``theorem_mainyy_check`` for the residual ``h`` of
+    AG(2, q) with s points removed, given its transversal number ``t``."""
     return (
         t == 2 * q - 1 - s
         and h.n == q * q - s

@@ -1,0 +1,209 @@
+"""Differential test of the bitset branch and bound for tau.
+
+``oracle_tau`` is a frozen copy of the original list-based search: it
+rebuilds the uncovered-edge list at every node, counts degrees in dicts and
+bounds by a greedy packing of whole edges and ``ceil(|unc| / Delta)``.  The
+bitset ``tau`` must return the same tau, witness and method on every host of
+the corpus below, and may only explore fewer nodes, since its bounds are at
+least as strong and the branching is unchanged.
+"""
+
+from __future__ import annotations
+
+from itertools import combinations
+
+import pytest
+
+from linhyp.algebra import affine_plane, affine_residual, g30, projective_plane, random_linear
+from linhyp.catalog import NAMES, special
+from linhyp.core import Hypergraph, is_linear, onh
+from linhyp.probability import ShrinkConfig, shrink
+from linhyp.rng import SplitMix64
+from linhyp.solver import TransversalResult, tau
+
+
+def _oracle_greedy_cover(masks: list[int], n: int) -> list[int]:
+    uncovered = list(masks)
+    cover = []
+    while uncovered:
+        best_v, best_cnt = -1, -1
+        for v in range(n):
+            bit = 1 << v
+            cnt = sum(1 for em in uncovered if em & bit)
+            if cnt > best_cnt:
+                best_v, best_cnt = v, cnt
+        cover.append(best_v)
+        bit = 1 << best_v
+        uncovered = [em for em in uncovered if not em & bit]
+    return cover
+
+
+def _oracle_lower_bound(uncovered: list[int]) -> int:
+    if not uncovered:
+        return 0
+    taken = 0
+    packing = 0
+    for em in uncovered:
+        if not em & taken:
+            packing += 1
+            taken |= em
+    degs: dict[int, int] = {}
+    for em in uncovered:
+        m = em
+        while m:
+            v = (m & -m).bit_length() - 1
+            degs[v] = degs.get(v, 0) + 1
+            m &= m - 1
+    dmax = max(degs.values())
+    count_bound = -(-len(uncovered) // dmax)
+    return max(packing, count_bound)
+
+
+def oracle_tau(h: Hypergraph) -> TransversalResult:
+    masks = h.edge_masks()
+    if not masks:
+        return TransversalResult(0, (), 0, "branch_and_bound")
+    greedy = _oracle_greedy_cover(masks, h.n)
+    best_size = len(greedy)
+    best_set = list(greedy)
+    nodes = 0
+
+    def dfs(uncovered: list[int], chosen: list[int], forbidden: int) -> None:
+        nonlocal best_size, best_set, nodes
+        nodes += 1
+        if not uncovered:
+            if len(chosen) < best_size:
+                best_size = len(chosen)
+                best_set = list(chosen)
+            return
+        if len(chosen) + _oracle_lower_bound(uncovered) >= best_size:
+            return
+        pick_allowed = 0
+        pick_size = 1 << 62
+        for em in uncovered:
+            allowed = em & ~forbidden
+            if not allowed:
+                return
+            sz = allowed.bit_count()
+            if sz < pick_size:
+                pick_allowed, pick_size = allowed, sz
+        degs: dict[int, int] = {}
+        m = pick_allowed
+        while m:
+            v = (m & -m).bit_length() - 1
+            degs[v] = 0
+            m &= m - 1
+        for em in uncovered:
+            for v in degs:
+                if em & (1 << v):
+                    degs[v] += 1
+        order = sorted(degs, key=lambda v: (-degs[v], v))
+        banned = forbidden
+        for v in order:
+            bit = 1 << v
+            chosen.append(v)
+            dfs([em for em in uncovered if not em & bit], chosen, banned)
+            chosen.pop()
+            banned |= bit
+
+    dfs(masks, [], 0)
+    return TransversalResult(best_size, tuple(sorted(best_set)), nodes, "branch_and_bound")
+
+
+def _random_host(rng: SplitMix64, n: int, m: int, max_size: int) -> Hypergraph:
+    """Mixed edge sizes, usually non-linear; vertices may stay isolated."""
+    edges = []
+    for _ in range(m):
+        size = 1 + rng.randbelow(min(n, max_size))
+        edges.append(rng.sample(range(n), size))
+    return Hypergraph(n, edges)
+
+
+def _corpus() -> list[tuple[str, Hypergraph]]:
+    corpus = [(name, special(name)) for name in NAMES]
+    for q in (2, 3, 4, 5):
+        corpus.append((f"AG(2,{q})", affine_plane(q)))
+        for s in range(1, q + 1):
+            corpus.append((f"AG(2,{q})-{s}", affine_residual(q, s)))
+    corpus.append(("onh(g30)", onh(g30())))
+    pg5 = projective_plane(5)
+    for seed in range(4):
+        corpus.append((f"shrink(PG(2,5),{seed})", shrink(pg5, ShrinkConfig(3, seed))))
+    for seed in range(6):
+        corpus.append((f"random_linear(40,{seed})", random_linear(40, 4, 3, 26, seed)))
+    rng = SplitMix64(0x7A0)
+    for i in range(40):
+        h = _random_host(rng, 4 + rng.randbelow(22), 1 + rng.randbelow(24), 6)
+        if i % 4 == 0:  # duplicate an edge
+            h = Hypergraph(h.n, h.edges + h.edges[-1:])
+        corpus.append((f"mixed({i})", h))
+    # a linear host where the greedy packing of allowed parts alone would
+    # fall below that of whole edges and let the search grow past the oracle
+    corpus.append(("whole-packing", Hypergraph(25, [
+        [0, 1, 8], [0, 10, 19], [1, 6, 14], [1, 9, 16], [2, 12, 13], [3, 5, 13],
+        [3, 16, 19], [4, 7, 9], [8, 11, 17], [10, 11, 14], [10, 12, 23], [16, 20, 24],
+    ])))
+    corpus.append(("isolated", Hypergraph(9, [[0, 2, 4], [2, 5], [4, 5, 7], [0, 7]])))
+    corpus.append(("isolated-dup", Hypergraph(6, [[1], [1], [3, 4], [3, 4]])))
+    corpus.append(("edgeless", Hypergraph(5, [])))
+    corpus.append(("empty", Hypergraph(0, [])))
+    return corpus
+
+
+CORPUS = _corpus()
+
+
+@pytest.mark.parametrize("name,h", CORPUS, ids=[name for name, _ in CORPUS])
+def test_tau_matches_frozen_oracle(name, h):
+    got, want = tau(h), oracle_tau(h)
+    assert (got.tau, got.witness, got.method) == (want.tau, want.witness, want.method)
+    assert got.nodes_explored <= want.nodes_explored
+
+
+def test_corpus_reaches_pruned_searches():
+    # the corpus must hold searches where the stronger bounds cut nodes
+    fewer = sum(tau(h).nodes_explored < oracle_tau(h).nodes_explored for _, h in CORPUS)
+    assert fewer >= 20
+
+
+@pytest.mark.parametrize("name,h", CORPUS, ids=[name for name, _ in CORPUS])
+def test_incidence_masks_transpose_edge_masks(name, h):
+    em, inc = h.edge_masks(), h.incidence_masks()
+    assert len(inc) == h.n
+    for i in range(h.m):
+        for v in range(h.n):
+            assert (em[i] >> v & 1) == (inc[v] >> i & 1)
+
+
+def _pairwise_linear(h: Hypergraph) -> bool:
+    return all(len(set(a) & set(b)) <= 1 for a, b in combinations(h.edges, 2))
+
+
+@pytest.mark.parametrize(
+    "h,linear",
+    [
+        (Hypergraph(3, [[1], [1]]), True),
+        (Hypergraph(3, [[0, 1], [0, 1]]), False),
+        (Hypergraph(4, [[0], [0], [0, 1], [1, 2]]), True),
+        (Hypergraph(4, [[0, 1, 2], [2, 3], [2, 3]]), False),
+        (Hypergraph(4, [[0, 1, 2], [1, 2, 3]]), False),
+        (Hypergraph(5, [[0, 1, 2], [2, 3, 4], [0, 4]]), True),
+        (Hypergraph(2, []), True),
+    ],
+)
+def test_is_linear_small_cases(h, linear):
+    assert _pairwise_linear(h) == linear
+    assert is_linear(h) == linear
+
+
+def test_is_linear_matches_pairwise_reference():
+    rng = SplitMix64(0x11EA)
+    hosts = [h for _, h in CORPUS]
+    for _ in range(300):
+        h = _random_host(rng, 3 + rng.randbelow(12), rng.randbelow(8), 4)
+        if h.m and rng.randbelow(3) == 0:  # duplicate an edge of any size
+            h = Hypergraph(h.n, h.edges + (h.edges[rng.randbelow(h.m)],))
+        hosts.append(h)
+    assert any(is_linear(h) for h in hosts) and not all(is_linear(h) for h in hosts)
+    for h in hosts:
+        assert is_linear(h) == _pairwise_linear(h), h
