@@ -1,8 +1,11 @@
 """Finite fields GF(p^e) and deterministic generators for the named families.
 
-Field elements are coefficient tuples of length e over [0, p); the modulus is
-the lexicographically smallest monic irreducible polynomial of its degree
-(coefficients compared high power first), found by exhaustive testing.
+``FiniteField`` works on coefficient tuples of length e over [0, p); the
+modulus is the lexicographically smallest monic irreducible polynomial of its
+degree (coefficients compared high power first), found by exhaustive testing.
+The plane constructions work on integer codes instead: an element's code is
+its index in ``FiniteField.elements()``, which is the residue itself for a
+prime, and ``field_tables`` tabulates the arithmetic on codes.
 """
 
 from __future__ import annotations
@@ -181,77 +184,94 @@ def gf(q: int) -> FiniteField:
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
+def field_tables(q: int) -> tuple[list[list[int]], list[list[int]], list[int], list[int]]:
+    """GF(q) arithmetic on integer codes: ``(add, mul, neg, inv)``.
+
+    The code of an element is its index in ``gf(q).elements()``, so 0 is zero
+    and 1 is one.  ``add`` and ``mul`` are q x q tables, ``neg`` and ``inv``
+    are lists; ``inv[0]`` is 0 and stands for no inverse.  Prime powers take
+    every entry from the tuple arithmetic of ``FiniteField``.
+    """
+    field = gf(q)
+    codes = range(q)
+    if field.e == 1:
+        add = [[(a + b) % q for b in codes] for a in codes]
+        mul = [[a * b % q for b in codes] for a in codes]
+        neg = [-a % q for a in codes]
+        inv = [0] + [pow(a, q - 2, q) for a in codes[1:]]
+        return add, mul, neg, inv
+    elems = field.elements()
+    code = {x: i for i, x in enumerate(elems)}
+    add = [[code[field.add(a, b)] for b in elems] for a in elems]
+    mul = [[code[field.mul(a, b)] for b in elems] for a in elems]
+    neg = [code[field.neg(a)] for a in elems]
+    inv = [0] + [code[field.inv(a)] for a in elems[1:]]
+    return add, mul, neg, inv
+
+
+def _point_rows(q: int) -> list[list[int]]:
+    """Row x lists the ids x*q + y of the points (x, y) of AG(2,q), y in order.
+
+    The lines take their members from these rows, so every line through a
+    point holds the same int object and large planes keep one per point.
+    """
+    ids = list(range(q * q))
+    return [ids[x * q:(x + 1) * q] for x in range(q)]
+
+
 def affine_plane(q: int) -> Hypergraph:
-    """AG(2,q) as a q-uniform hypergraph: q^2 points, q^2+q lines."""
+    """AG(2,q) as a q-uniform hypergraph: q^2 points, q^2+q lines.
+
+    Point (x, y) has id x*q + y on the element codes of ``field_tables``.
+    """
     if q < 2:
         raise AlgebraError("affine plane needs order >= 2")
-    field = gf(q)
-    elems = field.elements()
-    idx = {x: i for i, x in enumerate(elems)}
-
-    def point(x: tuple, y: tuple) -> int:
-        return idx[x] * q + idx[y]
-
+    add, mul, _, _ = field_tables(q)
+    rows = _point_rows(q)
     lines = []
-    for m in elems:  # y = m x + b
-        for b in elems:
-            lines.append(
-                [point(x, field.add(field.mul(m, x), b)) for x in elems]
-            )
-    for c in elems:  # x = c
-        lines.append([point(c, y) for y in elems])
+    for m in range(q):  # y = m x + b
+        mx = mul[m]
+        for b in range(q):
+            plus_b = add[b]
+            lines.append([row[plus_b[mx[x]]] for x, row in enumerate(rows)])
+    lines += rows  # x = c
     return Hypergraph(q * q, lines)
 
 
 def projective_plane(q: int) -> Hypergraph:
     """PG(2,q): points are 1-dim subspaces of GF(q)^3, lines 2-dim subspaces.
 
-    Each line is enumerated from a null-space basis of its dual vector, so
-    construction costs O(q) per line and stays usable into the hundreds.
+    A point is written with its first nonzero coordinate one, and on element
+    codes (see ``field_tables``) its id is x*q + y for (1, x, y), q^2 + y for
+    (0, 1, y) and q^2 + q for (0, 0, 1).  The line dual to a point (a, b, c)
+    is enumerated from a basis u, v of the solutions of a x + b y + c z = 0
+    whose leading coordinates are u = (1, 0, .), v = (0, 1, .) if c != 0,
+    u = (1, ., 0), v = (0, 0, 1) if only b != 0, and u = (0, 1, 0),
+    v = (0, 0, 1) otherwise.  Then v and every u + t v already have leading
+    coordinate one, so construction costs O(q) per line and stays usable into
+    the hundreds.
     """
-    field = gf(q)
-    elems = field.elements()
-    zero, one = field.zero(), field.one()
-    points = []
-    for x in elems:
-        for y in elems:
-            points.append((one, x, y))
-    for y in elems:
-        points.append((zero, one, y))
-    points.append((zero, zero, one))
-    pidx = {pt: i for i, pt in enumerate(points)}
-
-    def normalize(vec):
-        for lead in vec:
-            if lead != zero:
-                inv = field.inv(lead)
-                return tuple(field.mul(inv, c) for c in vec)
-        raise AssertionError("zero vector has no projective class")
-
-    def null_basis(a, b, c):
-        # two independent solutions of a x + b y + c z = 0
-        if c != zero:
-            cinv = field.inv(c)
-            u = (one, zero, field.neg(field.mul(a, cinv)))
-            v = (zero, one, field.neg(field.mul(b, cinv)))
-        elif b != zero:
-            binv = field.inv(b)
-            u = (one, field.neg(field.mul(a, binv)), zero)
-            v = (zero, zero, one)
-        else:  # a != 0, b = c = 0: solutions are y, z free
-            u = (zero, one, zero)
-            v = (zero, zero, one)
-        return u, v
-
+    add, mul, neg, inv = field_tables(q)
+    codes = range(q)
+    rows = _point_rows(q)  # the points (1, x, y)
+    far = list(range(q * q, q * q + q))  # the points (0, 1, y)
+    top = q * q + q  # the point (0, 0, 1)
+    duals = [(1, x, y) for x in codes for y in codes]
+    duals += [(0, 1, y) for y in codes]
+    duals.append((0, 0, 1))
     lines = []
-    for a, b, c in points:  # dual coordinates range over the same classes
-        u, v = null_basis(a, b, c)
-        members = [pidx[normalize(v)]]
-        for t in elems:
-            w = tuple(field.add(uc, field.mul(t, vc)) for uc, vc in zip(u, v))
-            members.append(pidx[normalize(w)])
+    for a, b, c in duals:  # dual coordinates range over the point classes
+        if c:
+            c_inv = inv[c]
+            u_z, v_z = neg[mul[a][c_inv]], neg[mul[b][c_inv]]
+            plus_u, times_v = add[u_z], mul[v_z]  # u + t v = (1, t, u_z + t v_z)
+            members = [far[v_z]] + [row[plus_u[times_v[t]]] for t, row in enumerate(rows)]
+        elif b:
+            members = [top] + rows[neg[mul[a][inv[b]]]]  # u + t v = (1, -a/b, t)
+        else:
+            members = [top] + far  # u + t v = (0, 1, t)
         lines.append(members)
-    return Hypergraph(len(points), lines)
+    return Hypergraph(top + 1, lines)
 
 
 def affine_residual(q: int, s: int) -> Hypergraph:

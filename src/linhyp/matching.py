@@ -50,42 +50,58 @@ def max_matching_bipartite(g: Graph) -> Matching:
 
     Left vertices are tried in increasing order; each search is a depth-first
     walk over neighbours in increasing order, kept on an explicit stack so
-    that long augmenting paths need no recursion.
+    that long augmenting paths need no recursion.  Right vertices are bit
+    positions in increasing id order and each left vertex has a neighbour
+    mask.  Every neighbour a frame has tried is visited, so its next one is
+    the lowest bit of its mask among the unvisited positions.  The result is
+    re-checked, and a failure raises ``CertificateError``.
     """
     if g.bipartition is None:
         raise HypergraphError("bipartite matching needs a bipartition")
     left = sorted(g.bipartition[0])
-    adj = g.adjacency()
-    nbrs = {v: sorted(adj[v]) for v in left}  # frames hold left vertices only
-    match: dict[int, int] = {}  # both directions
+    right = sorted(g.bipartition[1])
+    bit = {w: 1 << i for i, w in enumerate(right)}
+    nmask = [0] * g.n
+    for a, b in g.edges:
+        if a in bit:
+            nmask[b] |= bit[a]
+        else:
+            nmask[a] |= bit[b]
+    owner = [-1] * len(right)  # the left vertex matched to each right position
+    mate = [-1] * g.n  # the right position matched to each left vertex
+    everyone = (1 << len(right)) - 1
 
     for root in left:
-        if root in match:
+        if mate[root] >= 0:
             continue
-        visited: set[int] = set()
-        stack = [(root, iter(nbrs[root]))]  # (left vertex, its untried neighbours)
-        through: list[int] = []  # the neighbour each frame but the top is trying
-        while stack:
-            untried = stack[-1][1]
-            for w in untried:
-                if w not in visited:
-                    break
-            else:
-                stack.pop()
-                if through:
-                    through.pop()
-                continue
-            visited.add(w)
-            through.append(w)
-            if w in match:
-                stack.append((match[w], iter(nbrs[match[w]])))
-                continue
-            for (u, _), x in zip(stack, through):
-                match[u] = x
-                match[x] = u
-            break
-    pairs = sorted((v, match[v]) for v in left if v in match)
-    return Matching(tuple(pairs))
+        unvisited = everyone
+        stack = [root]  # frames hold left vertices only
+        through: list[int] = []  # the position each frame but the top is trying
+        u = root
+        while True:
+            free = nmask[u] & unvisited
+            if free:
+                low = free & -free
+                unvisited ^= low
+                i = low.bit_length() - 1
+                through.append(i)
+                u = owner[i]
+                if u >= 0:
+                    stack.append(u)
+                    continue
+                for u, i in zip(stack, through):
+                    owner[i] = u
+                    mate[u] = i
+                break
+            stack.pop()
+            if not stack:
+                break
+            through.pop()
+            u = stack[-1]
+    m = Matching(tuple((u, right[mate[u]]) for u in left if mate[u] >= 0))
+    if not m.check(g):
+        raise CertificateError("bipartite matching fails its re-check")
+    return m
 
 
 def hall_violator(g: Graph, side: int = 0) -> Optional[frozenset[int]]:

@@ -10,10 +10,11 @@ import pytest
 
 from linhyp import matching, probability
 from linhyp.catalog import special
-from linhyp.core import CertificateError, Graph, complete_graph
+from linhyp.core import CertificateError, Graph, complete_bipartite, complete_graph
 from linhyp.matching import (
     Matching,
     hall_violator,
+    max_matching_bipartite,
     max_matching_general,
     tutte_berge_certificate,
 )
@@ -33,6 +34,12 @@ def test_blossom_matching_failing_its_check_raises(monkeypatch):
     monkeypatch.setattr(Matching, "check", lambda self, g: False)
     with pytest.raises(CertificateError):
         max_matching_general(complete_graph(4))
+
+
+def test_bipartite_matching_failing_its_check_raises(monkeypatch):
+    monkeypatch.setattr(Matching, "check", lambda self, g: False)
+    with pytest.raises(CertificateError):
+        max_matching_bipartite(complete_bipartite(2, 3))
 
 
 def test_hall_violator_from_a_non_maximum_matching_raises(monkeypatch):
@@ -56,20 +63,38 @@ def test_envelope_maximum_not_below_ln5_raises(monkeypatch):
         claim_c3_envelope()
 
 
+def _run_under_O(body: str) -> str:
+    script = "assert False, 'asserts must be stripped here'\n" + body
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", script],
+        capture_output=True, text=True, env=env, timeout=60, check=True,
+    )
+    return out.stdout.strip()
+
+
 def test_checks_survive_python_O():
     script = (
         "from linhyp import tau, special, CertificateError\n"
         "from linhyp.solver import TransversalResult\n"
-        "assert False, 'asserts must be stripped here'\n"
         "TransversalResult.check = lambda self, h: False\n"
         "try:\n"
         "    tau(special('H10'))\n"
         "except CertificateError:\n"
         "    print('raised')\n"
     )
-    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
-    out = subprocess.run(
-        [sys.executable, "-O", "-c", script],
-        capture_output=True, text=True, env=env, timeout=60, check=True,
+    assert _run_under_O(script) == "raised"
+
+
+def test_bipartite_check_survives_python_O():
+    script = (
+        "from linhyp import CertificateError, max_matching_bipartite\n"
+        "from linhyp.core import complete_bipartite\n"
+        "from linhyp.matching import Matching\n"
+        "Matching.check = lambda self, g: False\n"
+        "try:\n"
+        "    max_matching_bipartite(complete_bipartite(2, 3))\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
     )
-    assert out.stdout.strip() == "raised"
+    assert _run_under_O(script) == "raised"

@@ -1,0 +1,193 @@
+"""Plane construction on integer field codes and the bitset bipartite search
+against frozen copies of the tuple-arithmetic constructions and of the
+neighbour-iterator augmenting search they replaced."""
+
+from __future__ import annotations
+
+import pytest
+
+from linhyp import matching
+from linhyp.algebra import affine_plane, field_tables, gf, projective_plane
+from linhyp.core import Graph, Hypergraph, incidence_graph
+from linhyp.matching import Matching, hall_violator, max_matching_bipartite
+from linhyp.rng import SplitMix64
+
+# e = 1 to 5: primes, 4 8 16 32, 9 27, 25
+PLANE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 37]
+TABLE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27]
+
+
+def oracle_affine_plane(q: int) -> Hypergraph:
+    field = gf(q)
+    elems = field.elements()
+    idx = {x: i for i, x in enumerate(elems)}
+
+    def point(x: tuple, y: tuple) -> int:
+        return idx[x] * q + idx[y]
+
+    lines = []
+    for m in elems:  # y = m x + b
+        for b in elems:
+            lines.append(
+                [point(x, field.add(field.mul(m, x), b)) for x in elems]
+            )
+    for c in elems:  # x = c
+        lines.append([point(c, y) for y in elems])
+    return Hypergraph(q * q, lines)
+
+
+def oracle_projective_plane(q: int) -> Hypergraph:
+    field = gf(q)
+    elems = field.elements()
+    zero, one = field.zero(), field.one()
+    points = []
+    for x in elems:
+        for y in elems:
+            points.append((one, x, y))
+    for y in elems:
+        points.append((zero, one, y))
+    points.append((zero, zero, one))
+    pidx = {pt: i for i, pt in enumerate(points)}
+
+    def normalize(vec):
+        for lead in vec:
+            if lead != zero:
+                inv = field.inv(lead)
+                return tuple(field.mul(inv, c) for c in vec)
+        raise AssertionError("zero vector has no projective class")
+
+    def null_basis(a, b, c):
+        if c != zero:
+            cinv = field.inv(c)
+            u = (one, zero, field.neg(field.mul(a, cinv)))
+            v = (zero, one, field.neg(field.mul(b, cinv)))
+        elif b != zero:
+            binv = field.inv(b)
+            u = (one, field.neg(field.mul(a, binv)), zero)
+            v = (zero, zero, one)
+        else:
+            u = (zero, one, zero)
+            v = (zero, zero, one)
+        return u, v
+
+    lines = []
+    for a, b, c in points:
+        u, v = null_basis(a, b, c)
+        members = [pidx[normalize(v)]]
+        for t in elems:
+            w = tuple(field.add(uc, field.mul(t, vc)) for uc, vc in zip(u, v))
+            members.append(pidx[normalize(w)])
+        lines.append(members)
+    return Hypergraph(len(points), lines)
+
+
+def oracle_bipartite(g: Graph) -> Matching:
+    left = sorted(g.bipartition[0])
+    adj = g.adjacency()
+    nbrs = {v: sorted(adj[v]) for v in left}
+    match: dict[int, int] = {}
+
+    for root in left:
+        if root in match:
+            continue
+        visited: set[int] = set()
+        stack = [(root, iter(nbrs[root]))]
+        through: list[int] = []
+        while stack:
+            untried = stack[-1][1]
+            for w in untried:
+                if w not in visited:
+                    break
+            else:
+                stack.pop()
+                if through:
+                    through.pop()
+                continue
+            visited.add(w)
+            through.append(w)
+            if w in match:
+                stack.append((match[w], iter(nbrs[match[w]])))
+                continue
+            for (u, _), x in zip(stack, through):
+                match[u] = x
+                match[x] = u
+            break
+    pairs = sorted((v, match[v]) for v in left if v in match)
+    return Matching(tuple(pairs))
+
+
+@pytest.mark.parametrize("q", PLANE_ORDERS)
+def test_planes_match_frozen_tuple_construction(q):
+    assert projective_plane(q) == oracle_projective_plane(q)
+    assert affine_plane(q) == oracle_affine_plane(q)
+
+
+@pytest.mark.parametrize("q", TABLE_ORDERS)
+def test_field_tables_agree_with_tuple_arithmetic(q):
+    field = gf(q)
+    elems = field.elements()
+    add, mul, neg, inv = field_tables(q)
+    for i, a in enumerate(elems):
+        assert elems[neg[i]] == field.neg(a)
+        if i:
+            assert elems[inv[i]] == field.inv(a)
+        for j, b in enumerate(elems):
+            assert elems[add[i][j]] == field.add(a, b)
+            assert elems[mul[i][j]] == field.mul(a, b)
+
+
+@pytest.mark.parametrize("q", PLANE_ORDERS)
+def test_bipartite_pairs_match_frozen_search_on_planes(q):
+    g = incidence_graph(projective_plane(q))
+    m = max_matching_bipartite(g)
+    assert m == oracle_bipartite(g)
+    assert m.size == q * q + q + 1
+
+
+def _random_bipartite(rng: SplitMix64) -> Graph:
+    """Sides drawn per vertex, so right ids fall below and between left ids;
+    a lopsided side share leaves some roots unmatched."""
+    n = 4 + rng.randbelow(37)
+    left_share = 2 + rng.randbelow(7)  # in tenths
+    left, right = [], []
+    for v in range(n):
+        (left if rng.randbelow(10) < left_share else right).append(v)
+    density = 1 + rng.randbelow(5)  # in tenths
+    edges = [(a, b) for a in left for b in right if rng.randbelow(10) < density]
+    return Graph(n, edges, bipartition=(left, right))
+
+
+RANDOM_GRAPHS = [_random_bipartite(SplitMix64(0xB1 + i)) for i in range(120)]
+
+
+def test_random_corpus_reaches_interleaved_and_deficient_sides():
+    interleaved = deficient_left = deficient_right = 0
+    for g in RANDOM_GRAPHS:
+        left, right = g.bipartition
+        if right and left and min(right) < min(left) and min(left) < max(right) < max(left):
+            interleaved += 1
+        size = oracle_bipartite(g).size
+        deficient_left += size < len(left)
+        deficient_right += size < len(right)
+    assert interleaved >= 10
+    assert deficient_left >= 20
+    assert deficient_right >= 20
+
+
+@pytest.mark.parametrize("i", range(len(RANDOM_GRAPHS)))
+def test_bipartite_pairs_match_frozen_search_on_random_graphs(i):
+    g = RANDOM_GRAPHS[i]
+    m = max_matching_bipartite(g)
+    assert m == oracle_bipartite(g)
+
+
+def test_hall_violators_match_frozen_search(monkeypatch):
+    found = []
+    for g in RANDOM_GRAPHS:
+        for side in (0, 1):
+            found.append(hall_violator(g, side))
+    monkeypatch.setattr(matching, "max_matching_bipartite", oracle_bipartite)
+    expected = [hall_violator(g, side) for g in RANDOM_GRAPHS for side in (0, 1)]
+    assert found == expected
+    assert sum(s is not None for s in found[0::2]) >= 20
+    assert sum(s is not None for s in found[1::2]) >= 20
