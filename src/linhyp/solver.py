@@ -158,7 +158,14 @@ def tau(h: Hypergraph) -> TransversalResult:
 def enumerate_min_transversals(
     h: Hypergraph, guard_n: int = 25, guard_tau: int = 8
 ) -> list[tuple[int, ...]]:
-    """All minimum transversals, lexicographic order."""
+    """All minimum transversals, lexicographic order.
+
+    A depth-first search picks tau vertices in increasing order and keeps the
+    uncovered edges as a bitmask over edge indices.  The next vertex ``v``
+    can only cover edges that have a vertex at or above ``v``, so the search
+    backtracks as soon as an uncovered edge lies wholly below ``v``.  The
+    leaves come out in the lexicographic order of the vertex tuples.
+    """
     if h.n > guard_n:
         raise GuardExceeded(f"n={h.n} exceeds enumeration guard {guard_n}")
     masks = h.edge_masks()
@@ -167,13 +174,30 @@ def enumerate_min_transversals(
     t = tau(h).tau
     if t > guard_tau:
         raise GuardExceeded(f"tau={t} exceeds enumeration guard {guard_tau}")
-    out = []
-    for cand in combinations(range(h.n), t):
-        cmask = 0
-        for v in cand:
-            cmask |= 1 << v
-        if all(cmask & em for em in masks):
-            out.append(cand)
+    inc = h.incidence_masks()
+    # below[v]: the edges whose every vertex is below v
+    below = [0] * (h.n + 1)
+    for i, e in enumerate(h.edges):
+        below[e[-1] + 1] |= 1 << i
+    for v in range(1, h.n + 1):
+        below[v] |= below[v - 1]
+    out: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def dfs(start: int, unc: int) -> None:
+        left = t - len(chosen)
+        if not left:
+            if not unc:
+                out.append(tuple(chosen))
+            return
+        for v in range(start, h.n - left + 1):
+            if unc & below[v]:
+                return  # an uncovered edge ends below v, so below every later v
+            chosen.append(v)
+            dfs(v + 1, unc & ~inc[v])
+            chosen.pop()
+
+    dfs(0, (1 << len(masks)) - 1)
     return out
 
 

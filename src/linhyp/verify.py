@@ -2,7 +2,9 @@
 
 The property suite re-does the "verified by computer" work for every special
 hypergraph: structural values, minimum-transversal coverage properties, and
-the two component conditions.  Bound checks always validate their hypotheses
+the two component conditions.  It works on bitmasks: each vertex carries
+the index mask of the minimum transversals through it and the vertex mask
+of its co-edged neighbours.  Bound checks always validate their hypotheses
 before comparing.
 """
 
@@ -53,11 +55,34 @@ def _na(prop: str) -> CheckResult:
     return CheckResult(prop, applicable=False, passed=True)
 
 
-def _adjacent_pairs(h: Hypergraph) -> set[frozenset[int]]:
-    out: set[frozenset[int]] = set()
-    for e in h.edges:
-        for a, b in combinations(e, 2):
-            out.add(frozenset((a, b)))
+def _members(mask: int) -> list[int]:
+    """The set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def _adjacency_masks(h: Hypergraph) -> list[int]:
+    """Per vertex, the vertex mask of the other vertices of its edges."""
+    adj = [0] * h.n
+    for e, em in zip(h.edges, h.edge_masks()):
+        for v in e:
+            adj[v] |= em
+    return [a & ~(1 << v) for v, a in enumerate(adj)]
+
+
+def _independent_triples(lowdeg: list[int], adj: list[int]) -> list[tuple[int, int, int]]:
+    """The independent triples of ``lowdeg``, in lexicographic order."""
+    low = sum(1 << v for v in lowdeg)
+    out = []
+    for a in lowdeg:
+        later_a = low & ~adj[a] & ~((2 << a) - 1)
+        for b in _members(later_a):
+            for c in _members(later_a & ~adj[b] & ~((2 << b) - 1)):
+                out.append((a, b, c))
     return out
 
 
@@ -72,6 +97,11 @@ class _TransversalIndex:
         for i, t in enumerate(self.transversals):
             for v in t:
                 self.by_vertex[v] |= 1 << i
+        # apart[u]: the vertices that share no minimum transversal with u
+        self.apart = [
+            sum(1 << v for v, bv in enumerate(self.by_vertex) if not bu & bv)
+            for bu in self.by_vertex
+        ]
 
     def hitting(self, vertices: Iterable[int]) -> int:
         m = 0
@@ -88,17 +118,22 @@ class _TransversalIndex:
 
 def _check_i_j(idx: _TransversalIndex, size: int, exception: Optional[set[int]]):
     """Items (i)/(j): every |T'|=size subset meets some minimum transversal
-    in >= 2 vertices, modulo the named H_11 exception for size 3."""
-    h = idx.h
+    in >= 2 vertices, modulo the named H_11 exception for size 3.
+
+    A subset fails iff its vertices pairwise share no minimum transversal,
+    so the failing subsets are grown vertex by vertex in increasing order,
+    each new vertex drawn from the later vertices apart from all before it.
+    """
     bad = []
-    for cand in combinations(range(h.n), size):
-        ok = False
-        for pair in combinations(cand, 2):
-            if idx.containing_all(pair):
-                ok = True
-                break
-        if not ok:
-            bad.append(set(cand))
+
+    def extend(chosen: tuple[int, ...], candidates: int) -> None:
+        if len(chosen) == size:
+            bad.append(set(chosen))
+            return
+        for v in _members(candidates):
+            extend(chosen + (v,), candidates & idx.apart[v] & ~((2 << v) - 1))
+
+    extend((), (1 << idx.h.n) - 1)
     if exception is None:
         return (not bad), bad
     # exactly the exceptional subset may (and must) fail
@@ -112,7 +147,7 @@ def obs61_suite(kind: str) -> PropertyReport:
     deg = degrees(h)
     idx = _TransversalIndex(h)
     t_actual = len(idx.transversals[0]) if idx.transversals else 0
-    adjacent = _adjacent_pairs(h)
+    adj = _adjacency_masks(h)
     checks: list[CheckResult] = []
 
     # (a)-(e): order, size, transversal number per class
@@ -166,13 +201,7 @@ def obs61_suite(kind: str) -> PropertyReport:
 
     # (k): disjoint pairs T1, T2 of size 2: some minimum transversal hits both
     if kind != "H4":
-        bad_k = []
-        for t1 in combinations(range(h.n), 2):
-            m1 = idx.hitting(t1)
-            rest = [v for v in range(h.n) if v not in t1]
-            for t2 in combinations(rest, 2):
-                if not m1 & idx.hitting(t2):
-                    bad_k.append((t1, t2))
+        bad_k = _check_property_k(h, idx)
         checks.append(CheckResult("k", True, not bad_k, str(bad_k[:3]) or None))
     else:
         checks.append(_na("k"))
@@ -184,14 +213,9 @@ def obs61_suite(kind: str) -> PropertyReport:
     # on the catalog and could never occur in a host.)
     lowdeg = [v for v in range(h.n) if deg[v] <= 2]
 
-    def independent(c) -> bool:
-        return not any(frozenset(p) in adjacent for p in combinations(c, 2))
-
     # (l): independent T1 of size 3, singleton T2
     bad_l = []
-    for t1 in combinations(lowdeg, 3):
-        if not independent(t1):
-            continue
+    for t1 in _independent_triples(lowdeg, adj):
         m1 = idx.hitting(t1)
         for v in lowdeg:
             if v in t1:
@@ -209,7 +233,7 @@ def obs61_suite(kind: str) -> PropertyReport:
     for v1 in lowdeg:
         m1 = idx.by_vertex[v1]
         for t2 in combinations([u for u in lowdeg if u != v1], 2):
-            if frozenset(t2) in adjacent:
+            if adj[t2[0]] >> t2[1] & 1:
                 continue
             if m1 & idx.hitting(t2):
                 continue
@@ -217,7 +241,7 @@ def obs61_suite(kind: str) -> PropertyReport:
             if kind == "H11" and v1 in deg1:
                 others = [u for u in t2 if u in deg1]
                 seconds = [u for u in t2 if u not in deg1]
-                if others and seconds and frozenset((v1, seconds[0])) in adjacent:
+                if others and seconds and adj[v1] >> seconds[0] & 1:
                     is_exception = True
             if is_exception:
                 excepted.append((v1, t2))
@@ -233,33 +257,12 @@ def obs61_suite(kind: str) -> PropertyReport:
         )
     )
 
-    # (n): independent T1, T2 of size 3 and T3 of size 2; size 2 binds,
-    # since any larger independent T3 contains an independent pair and
-    # hitting the pair hits T3
-    bad_n = []
-    indep3 = [c for c in combinations(lowdeg, 3) if independent(c)]
-    indep2 = [c for c in combinations(lowdeg, 2) if independent(c)]
-    hit3 = {c: idx.hitting(c) for c in indep3}
-    hit2 = {c: idx.hitting(c) for c in indep2}
-    for i1, t1 in enumerate(indep3):
-        s1 = set(t1)
-        m1 = hit3[t1]
-        for t2 in indep3[i1 + 1 :]:
-            if s1 & set(t2):
-                continue
-            m12 = m1 & hit3[t2]
-            if m12 == idx.full:
-                continue
-            s12 = s1 | set(t2)
-            for t3 in indep2:
-                if s12 & set(t3):
-                    continue
-                if not m12 & hit2[t3]:
-                    bad_n.append((t1, t2, t3))
+    # (n): independent T1, T2 of size 3 and T3 of size 2; see _check_property_n
+    bad_n = _check_property_n(h, idx, deg, adj)
     checks.append(CheckResult("n", True, not bad_n, str(bad_n[:2]) or None))
 
     # (o): external 2-intersections; see _check_property_o
-    ok_o, witness_o = _check_property_o(h, idx, deg, adjacent)
+    ok_o, witness_o = _check_property_o(h, idx, deg, adj)
     checks.append(CheckResult("o", True, ok_o, witness_o))
 
     # (p): degree-2 deletions leave at most an isolated vertex extra; the
@@ -288,7 +291,66 @@ def h11_exceptional_triple() -> list[int]:
     return [v for v in range(h.n) if v not in with_deg1_neighbor]
 
 
-def _check_property_o(h, idx, deg, adjacent):
+def _check_property_k(h: Hypergraph, idx: _TransversalIndex) -> list:
+    """Item (k): the ordered pairs (T1, T2) of disjoint vertex pairs such
+    that no minimum transversal hits both, by T1 and then T2 in
+    lexicographic order.
+
+    T2 misses every transversal that hits T1 iff both its vertices do, so
+    the bad T2 for T1 = {a, b} are the pairs within W, the vertices outside
+    T1 that share a minimum transversal with neither a nor b.
+    """
+    bad = []
+    for a, b in combinations(range(h.n), 2):
+        w = idx.apart[a] & idx.apart[b] & ~((1 << a) | (1 << b))
+        if w & (w - 1):
+            bad += [((a, b), t2) for t2 in combinations(_members(w), 2)]
+    return bad
+
+
+def _check_property_n(
+    h: Hypergraph, idx: _TransversalIndex, deg: list[int], adj: list[int]
+) -> list:
+    """Item (n): the pairwise disjoint independent T1, T2 of size 3 and T3
+    of size 2, all of degree-<=2 vertices, that no minimum transversal hits
+    all of.  Size 2 binds for T3, since any larger independent T3 contains
+    an independent pair and hitting the pair hits T3.
+
+    T3 = {a, b} misses every transversal that hits T1 and T2 iff a and b
+    both do, so with W the low-degree vertices outside T1 and T2 in no such
+    transversal, the bad T3 are the independent pairs within W.  A T1, T2
+    that every minimum transversal hits is skipped, although a T3 in no
+    minimum transversal would miss it; such a T3 exists only where item
+    (g) fails.
+    """
+    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
+    triples = _independent_triples(lowdeg, adj)
+    sets = [sum(1 << v for v in t) for t in triples]
+    hits = [idx.hitting(t) for t in triples]
+    low_hits = [(1 << v, idx.by_vertex[v]) for v in lowdeg]
+    bad = []
+    for i1, t1 in enumerate(triples):
+        s1, m1 = sets[i1], hits[i1]
+        for i2 in range(i1 + 1, len(triples)):
+            if s1 & sets[i2]:
+                continue
+            m12 = m1 & hits[i2]
+            if m12 == idx.full:
+                continue
+            w = 0
+            for bit, bv in low_hits:
+                if not bv & m12:
+                    w |= bit
+            w &= ~(s1 | sets[i2])
+            for a in _members(w):
+                for b in _members(w & ~adj[a] & ~((2 << a) - 1)):
+                    bad.append((t1, triples[i2], (a, b)))
+    return bad
+
+
+def _check_property_o(
+    h: Hypergraph, idx: _TransversalIndex, deg: list[int], adj: list[int]
+) -> tuple[bool, Optional[str]]:
     """Every valid triple of simulated external 2-intersections admits, for
     each specified edge of H, a minimum transversal covering that edge and
     one of the three.
@@ -296,37 +358,55 @@ def _check_property_o(h, idx, deg, adjacent):
     A valid pair is non-co-edged with both degrees <= 2; distinct pairs
     share at most one vertex, and a shared vertex needs degree <= 1 (its
     host degree would otherwise exceed three).
+
+    Pairs are indexed in lexicographic order.  ``compat[i]`` is the index
+    mask of the later pairs compatible with pair i, and ``met[i]`` the edge
+    mask of the edges whose hit mask meets pair i's, so a triple passes iff
+    the OR of its three ``met`` masks holds every edge.  The union only
+    grows, so a first pair, or a first two, that already meet every edge
+    are skipped whole.  The triple reported is the first failing one in
+    the lexicographic order of pair indices.
+
+    Every minimum transversal meets every edge, so each edge's hit mask is
+    the full mask, and the item as stated reduces to "some minimum
+    transversal meets p1, p2 or p3", which item (g) already implies.
     """
     valid_pairs = [
-        p
-        for p in combinations(range(h.n), 2)
-        if frozenset(p) not in adjacent and deg[p[0]] <= 2 and deg[p[1]] <= 2
+        (a, b)
+        for a, b in combinations(range(h.n), 2)
+        if not adj[a] >> b & 1 and deg[a] <= 2 and deg[b] <= 2
     ]
     edge_hits = [idx.hitting(e) for e in h.edges]
-
-    def compatible(p1, p2) -> bool:
-        shared = set(p1) & set(p2)
-        if len(shared) > 1:
-            return False
-        return all(deg[v] <= 1 for v in shared)
-
+    every_edge = (1 << len(edge_hits)) - 1
+    met = []
+    for p in valid_pairs:
+        hp = idx.hitting(p)
+        met.append(sum(1 << i for i, eh in enumerate(edge_hits) if hp & eh))
+    # pairs through each vertex of degree >= 2, which no other pair may share
+    blocking = [0] * h.n
+    for i, (a, b) in enumerate(valid_pairs):
+        for v in (a, b):
+            if deg[v] > 1:
+                blocking[v] |= 1 << i
+    every_pair = (1 << len(valid_pairs)) - 1
+    compat = [
+        every_pair & ~((2 << i) - 1) & ~(blocking[a] | blocking[b])
+        for i, (a, b) in enumerate(valid_pairs)
+    ]
     for i1, p1 in enumerate(valid_pairs):
-        m1 = idx.hitting(p1)
-        for i2 in range(i1 + 1, len(valid_pairs)):
-            p2 = valid_pairs[i2]
-            if not compatible(p1, p2):
+        if met[i1] == every_edge:
+            continue
+        for i2 in _members(compat[i1]):
+            m12 = met[i1] | met[i2]
+            if m12 == every_edge:
                 continue
-            m12 = m1 | idx.hitting(p2)
-            for p3 in valid_pairs[i2 + 1 :]:
-                if not compatible(p1, p3) or not compatible(p2, p3):
-                    continue
-                union_hits = m12 | idx.hitting(p3)
-                if all(union_hits & eh for eh in edge_hits):
-                    continue
-                bad_edge = next(
-                    i for i, eh in enumerate(edge_hits) if not union_hits & eh
-                )
-                return False, f"triple {p1},{p2},{p3} misses edge {bad_edge}"
+            for i3 in _members(compat[i1] & compat[i2]):
+                union = m12 | met[i3]
+                if union != every_edge:
+                    # the lowest edge outside the union
+                    bad_edge = (~union & (union + 1)).bit_length() - 1
+                    p2, p3 = valid_pairs[i2], valid_pairs[i3]
+                    return False, f"triple {p1},{p2},{p3} misses edge {bad_edge}"
     return True, None
 
 
