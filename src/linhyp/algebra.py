@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import Graph, Hypergraph, incidence_graph
+from .core import Graph, Hypergraph, incidence_graph, vertex_mask
 from .rng import SplitMix64
 
 
@@ -348,9 +348,7 @@ def random_linear(
             break
         pick = rng.sample(pool, k)
         cand = tuple(sorted(pick))
-        mask = 0
-        for v in cand:
-            mask |= 1 << v
+        mask = vertex_mask(cand)
         if any((mask & old).bit_count() > 1 for old in masks):
             continue
         accepted.append(cand)

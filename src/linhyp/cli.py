@@ -478,7 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (HypergraphError, hgio.FormatError, ValueError, KeyError, OSError) as exc:
+    except (HypergraphError, hgio.FormatError, ValueError, catalog.CatalogError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

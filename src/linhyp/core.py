@@ -25,6 +25,24 @@ class CertificateError(RuntimeError):
     """
 
 
+def vertex_mask(vertices: Iterable[int]) -> int:
+    """The bitmask with bit v set for each v in ``vertices``."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
+def members(mask: int) -> list[int]:
+    """The set bits of a mask, in increasing order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 @dataclass(frozen=True)
 class Hypergraph:
     """A finite hypergraph on vertices ``0..n-1`` with an edge multiset."""
@@ -68,13 +86,7 @@ class Hypergraph:
 
     def edge_masks(self) -> list[int]:
         """Edges as vertex bitmasks (bit v set iff v in edge)."""
-        out = []
-        for e in self.edges:
-            m = 0
-            for v in e:
-                m |= 1 << v
-            out.append(m)
-        return out
+        return [vertex_mask(e) for e in self.edges]
 
     def incidence_masks(self) -> list[int]:
         """Vertices as edge bitmasks (bit i set iff the vertex lies in edge i)."""

@@ -13,8 +13,17 @@ from operator import ge, itemgetter
 from typing import Callable, Optional
 
 from .catalog import DEFIC_WEIGHT, NAMES, TAU_OF_CLASS, order_class, special
-from .core import Hypergraph, HypergraphError, component_count, is_linear
-from .solver import GuardExceeded
+from .core import (
+    Graph,
+    Hypergraph,
+    HypergraphError,
+    component_count,
+    is_k_uniform,
+    is_linear,
+    members,
+    vertex_mask,
+)
+from .solver import GuardExceeded, tau
 
 
 @dataclass(frozen=True)
@@ -70,9 +79,6 @@ class SpecialSet:
 
     def footprint(self) -> tuple[int, ...]:
         return tuple(sorted(self.edge_set()))
-
-
-EMPTY_SET = SpecialSet(())
 
 
 @dataclass(frozen=True)
@@ -287,23 +293,33 @@ def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
     return sorted(found, key=lambda e: e.edge_indices)
 
 
+def _masks(inc: list[int], embeddings) -> tuple[int, int, int]:
+    """The copies' vertex mask ``vmask``, the edge mask ``touch`` of the host
+    edges meeting those vertices (``inc`` is ``host.incidence_masks()``) and
+    the edge mask ``own`` of the copies' own edges: E*(X) is ``touch & ~own``.
+    """
+    vmask = own = touch = 0
+    for emb in embeddings:
+        vmask |= vertex_mask(emb.vertex_map)
+        own |= vertex_mask(emb.edge_indices)
+    for v in members(vmask):
+        touch |= inc[v]
+    return vmask, touch, own
+
+
 def estar(host: Hypergraph, x: SpecialSet) -> frozenset[int]:
     """Host edge indices outside the packing that intersect its vertices."""
-    vs = x.vertex_set()
-    es = x.edge_set()
-    return frozenset(
-        i for i, e in enumerate(host.edges) if i not in es and vs & set(e)
-    )
+    _, touch, own = _masks(host.incidence_masks(), x.embeddings)
+    return frozenset(members(touch & ~own))
 
 
 def defic_of_set(host: Hypergraph, x: SpecialSet) -> int:
     """10|X_10| + 8|X_4| + 5|X_14| + 4|X_11| + |X_21| - 13|E*(X)|."""
-    counts = x.partition_counts()
-    weight = sum(DEFIC_WEIGHT[cls] * cnt for cls, cnt in counts.items())
+    weight = sum(DEFIC_WEIGHT[order_class(emb.kind)] for emb in x.embeddings)
     return weight - 13 * len(estar(host, x))
 
 
-def estar_bipartite_graph(host: Hypergraph, x: SpecialSet):
+def estar_bipartite_graph(host: Hypergraph, x: SpecialSet) -> Graph:
     """The bipartite graph pairing packed copies with the E*(X) edges.
 
     Left side: one vertex per member of the packing (in order).  Right side:
@@ -311,16 +327,14 @@ def estar_bipartite_graph(host: Hypergraph, x: SpecialSet):
     when the external edge intersects that copy.  Matchings here decide
     whether every external edge can be charged to a distinct copy.
     """
-    from .core import Graph
-
-    ext = sorted(estar(host, x))
+    inc = host.incidence_masks()
+    _, touch, own = _masks(inc, x.embeddings)
+    ext = members(touch & ~own)
     k = len(x.embeddings)
-    pairs = []
-    for j, ei in enumerate(ext):
-        everts = set(host.edges[ei])
-        for i, emb in enumerate(x.embeddings):
-            if everts & set(emb.vertex_map):
-                pairs.append((i, k + j))
+    touches = [_masks(inc, (emb,))[1] for emb in x.embeddings]
+    pairs = [
+        (i, k + j) for j, e in enumerate(ext) for i, t in enumerate(touches) if t >> e & 1
+    ]
     return Graph(k + len(ext), pairs, bipartition=(range(k), range(k, k + len(ext))))
 
 
@@ -342,12 +356,16 @@ def deficiency(
 ) -> tuple[int, SpecialSet]:
     """Exact maximum of defic over all special H-sets, with an argmax.
 
-    Branch and bound over disjoint embedding selections.  The bound adds the
-    weights of still-compatible candidates and charges 13 for every edge
-    already touching the packing that no remaining candidate can absorb.
-    Ties on the value break toward the lexicographically least edge-index
-    footprint.  The value is never below 0 (the empty set is admissible).
-    If given, ``visitor`` is called on every special set the search forms.
+    Branch and bound over disjoint embedding selections.  A node carries its
+    packing X as ``(vmask, touch, own, weight)`` (see :func:`_masks`), so
+    defic(X) is ``weight - 13 |touch & ~own|``.  The bound adds to that the
+    weights of the later candidates vertex-disjoint from X.  None of those
+    can absorb an E*(X) edge: every edge of an edge-induced copy lies inside
+    its vertex set (H4's one edge too, of any size).  Ties on the value break
+    toward the lexicographically least edge-index footprint.  The value is
+    never below 0 (the empty set is admissible).  If given, ``visitor`` is
+    called on every special set the search forms, the empty set twice:
+    before the search and at its root.
     """
     if host.n > guard_n:
         raise GuardExceeded(f"n={host.n} exceeds deficiency guard {guard_n}")
@@ -355,61 +373,32 @@ def deficiency(
         raise HypergraphError("deficiency is defined over linear hosts here")
 
     cands = _candidate_embeddings(host)
-    vmasks = []
-    for emb in cands:
-        m = 0
-        for v in emb.vertex_map:
-            m |= 1 << v
-        vmasks.append(m)
+    inc = host.incidence_masks()
+    masks = [_masks(inc, (emb,)) for emb in cands]
     weights = [DEFIC_WEIGHT[order_class(emb.kind)] for emb in cands]
-    edge_sets = [emb.edge_set() for emb in cands]
-    edge_vmask = []
-    for e in host.edges:
-        m = 0
-        for v in e:
-            m |= 1 << v
-        edge_vmask.append(m)
 
-    best_value = 0
-    best_set = EMPTY_SET
+    best_value, best_chosen, best_own = 0, (), 0
     if visitor:
-        visitor(EMPTY_SET)
+        visitor(SpecialSet(()))
 
-    def dfs(idx: int, chosen: list[int], vmask: int) -> None:
-        nonlocal best_value, best_set
-        ss = SpecialSet(tuple(cands[i] for i in chosen))
-        value = defic_of_set(host, ss)
+    def dfs(idx: int, chosen: tuple, vmask: int, touch: int, own: int, weight: int) -> None:
+        nonlocal best_value, best_chosen, best_own
+        value = weight - 13 * (touch & ~own).bit_count()
         if visitor:
-            visitor(ss)
+            visitor(SpecialSet(tuple(cands[i] for i in chosen)))
         if value > best_value or (
-            value == best_value and ss.footprint() < best_set.footprint()
+            value == best_value and members(own) < members(best_own)
         ):
-            best_value, best_set = value, ss
-        compatible = [j for j in range(idx, len(cands)) if not vmasks[j] & vmask]
-        if not compatible:
-            return
-        chosen_edges: set[int] = set()
-        for i in chosen:
-            chosen_edges |= edge_sets[i]
-        absorbable: set[int] = set()
-        for j in compatible:
-            absorbable |= edge_sets[j]
-        definite_estar = sum(
-            1
-            for ei in range(host.m)
-            if ei not in chosen_edges
-            and ei not in absorbable
-            and edge_vmask[ei] & vmask
-        )
-        w_chosen = sum(weights[i] for i in chosen)
-        ub = w_chosen + sum(weights[j] for j in compatible) - 13 * definite_estar
-        if ub < best_value:
+            best_value, best_chosen, best_own = value, chosen, own
+        compatible = [j for j in range(idx, len(cands)) if not masks[j][0] & vmask]
+        if not compatible or value + sum(weights[j] for j in compatible) < best_value:
             return
         for j in compatible:
-            dfs(j + 1, chosen + [j], vmask | vmasks[j])
+            vm, tm, om = masks[j]
+            dfs(j + 1, chosen + (j,), vmask | vm, touch | tm, own | om, weight + weights[j])
 
-    dfs(0, [], 0)
-    return best_value, best_set
+    dfs(0, (), 0, 0, 0, 0)
+    return best_value, SpecialSet(tuple(cands[i] for i in best_chosen))
 
 
 def enumerate_special_sets(
@@ -431,9 +420,6 @@ def enumerate_special_sets(
 
 def check_key_theorem(host: Hypergraph) -> bool:
     """45 tau(H) <= 6 n(H) + 13 m(H) + defic(H) for 4-uniform linear, max deg 3."""
-    from .core import is_k_uniform
-    from .solver import tau
-
     if not is_k_uniform(host, 4):
         raise HypergraphError("key theorem needs a 4-uniform hypergraph")
     if not is_linear(host):

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .core import CertificateError, Graph, Hypergraph, HypergraphError, onh
+from .core import CertificateError, Graph, Hypergraph, HypergraphError, onh, vertex_mask
 
 
 class GuardExceeded(RuntimeError):
@@ -42,9 +42,7 @@ def tau_bruteforce(h: Hypergraph, guard_n: int = 25) -> TransversalResult:
     for size in range(1, h.n + 1):
         for cand in combinations(range(h.n), size):
             nodes += 1
-            cmask = 0
-            for v in cand:
-                cmask |= 1 << v
+            cmask = vertex_mask(cand)
             if all(cmask & em for em in masks):
                 return TransversalResult(size, cand, nodes, "bruteforce")
     raise AssertionError("unreachable: V(H) is always a transversal")
@@ -168,8 +166,7 @@ def enumerate_min_transversals(
     """
     if h.n > guard_n:
         raise GuardExceeded(f"n={h.n} exceeds enumeration guard {guard_n}")
-    masks = h.edge_masks()
-    if not masks:
+    if not h.edges:
         return [()]
     t = tau(h).tau
     if t > guard_tau:
@@ -197,7 +194,7 @@ def enumerate_min_transversals(
             dfs(v + 1, unc & ~inc[v])
             chosen.pop()
 
-    dfs(0, (1 << len(masks)) - 1)
+    dfs(0, (1 << h.m) - 1)
     return out
 
 

@@ -25,6 +25,8 @@ from .core import (
     is_connected,
     is_k_uniform,
     is_linear,
+    members,
+    vertex_mask,
 )
 from .deficiency import deficiency
 from .solver import enumerate_min_transversals, tau
@@ -55,16 +57,6 @@ def _na(prop: str) -> CheckResult:
     return CheckResult(prop, applicable=False, passed=True)
 
 
-def _members(mask: int) -> list[int]:
-    """The set bits of a mask, in increasing order."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _adjacency_masks(h: Hypergraph) -> list[int]:
     """Per vertex, the vertex mask of the other vertices of its edges."""
     adj = [0] * h.n
@@ -76,12 +68,12 @@ def _adjacency_masks(h: Hypergraph) -> list[int]:
 
 def _independent_triples(lowdeg: list[int], adj: list[int]) -> list[tuple[int, int, int]]:
     """The independent triples of ``lowdeg``, in lexicographic order."""
-    low = sum(1 << v for v in lowdeg)
+    low = vertex_mask(lowdeg)
     out = []
     for a in lowdeg:
         later_a = low & ~adj[a] & ~((2 << a) - 1)
-        for b in _members(later_a):
-            for c in _members(later_a & ~adj[b] & ~((2 << b) - 1)):
+        for b in members(later_a):
+            for c in members(later_a & ~adj[b] & ~((2 << b) - 1)):
                 out.append((a, b, c))
     return out
 
@@ -99,7 +91,7 @@ class _TransversalIndex:
                 self.by_vertex[v] |= 1 << i
         # apart[u]: the vertices that share no minimum transversal with u
         self.apart = [
-            sum(1 << v for v, bv in enumerate(self.by_vertex) if not bu & bv)
+            vertex_mask(v for v, bv in enumerate(self.by_vertex) if not bu & bv)
             for bu in self.by_vertex
         ]
 
@@ -130,7 +122,7 @@ def _check_i_j(idx: _TransversalIndex, size: int, exception: Optional[set[int]])
         if len(chosen) == size:
             bad.append(set(chosen))
             return
-        for v in _members(candidates):
+        for v in members(candidates):
             extend(chosen + (v,), candidates & idx.apart[v] & ~((2 << v) - 1))
 
     extend((), (1 << idx.h.n) - 1)
@@ -304,7 +296,7 @@ def _check_property_k(h: Hypergraph, idx: _TransversalIndex) -> list:
     for a, b in combinations(range(h.n), 2):
         w = idx.apart[a] & idx.apart[b] & ~((1 << a) | (1 << b))
         if w & (w - 1):
-            bad += [((a, b), t2) for t2 in combinations(_members(w), 2)]
+            bad += [((a, b), t2) for t2 in combinations(members(w), 2)]
     return bad
 
 
@@ -325,7 +317,7 @@ def _check_property_n(
     """
     lowdeg = [v for v in range(h.n) if deg[v] <= 2]
     triples = _independent_triples(lowdeg, adj)
-    sets = [sum(1 << v for v in t) for t in triples]
+    sets = [vertex_mask(t) for t in triples]
     hits = [idx.hitting(t) for t in triples]
     low_hits = [(1 << v, idx.by_vertex[v]) for v in lowdeg]
     bad = []
@@ -342,8 +334,8 @@ def _check_property_n(
                 if not bv & m12:
                     w |= bit
             w &= ~(s1 | sets[i2])
-            for a in _members(w):
-                for b in _members(w & ~adj[a] & ~((2 << a) - 1)):
+            for a in members(w):
+                for b in members(w & ~adj[a] & ~((2 << a) - 1)):
                     bad.append((t1, triples[i2], (a, b)))
     return bad
 
@@ -381,7 +373,7 @@ def _check_property_o(
     met = []
     for p in valid_pairs:
         hp = idx.hitting(p)
-        met.append(sum(1 << i for i, eh in enumerate(edge_hits) if hp & eh))
+        met.append(vertex_mask(i for i, eh in enumerate(edge_hits) if hp & eh))
     # pairs through each vertex of degree >= 2, which no other pair may share
     blocking = [0] * h.n
     for i, (a, b) in enumerate(valid_pairs):
@@ -396,11 +388,11 @@ def _check_property_o(
     for i1, p1 in enumerate(valid_pairs):
         if met[i1] == every_edge:
             continue
-        for i2 in _members(compat[i1]):
+        for i2 in members(compat[i1]):
             m12 = met[i1] | met[i2]
             if m12 == every_edge:
                 continue
-            for i3 in _members(compat[i1] & compat[i2]):
+            for i3 in members(compat[i1] & compat[i2]):
                 union = m12 | met[i3]
                 if union != every_edge:
                     # the lowest edge outside the union

@@ -2,7 +2,9 @@
 
 import json
 
-from linhyp import hgio
+import pytest
+
+from linhyp import cli, hgio
 from linhyp.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
 from linhyp.core import hypergraph_isomorphic
 from linhyp.algebra import affine_plane
@@ -184,6 +186,24 @@ def test_gen_dot_output(tmp_path, capsys):
 def test_usage_error_exit_code(capsys):
     code, _, _ = run(capsys, "gen", "--family", "nonsense")
     assert code == EXIT_USAGE
+
+
+def test_unknown_special_name_exit_code(capsys):
+    code, _, err = run(capsys, "gen", "--family", "special", "--name", "H15")
+    assert code == EXIT_USAGE
+    assert "unknown special hypergraph" in err
+
+
+def test_library_key_error_propagates(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f9.hg"
+    run(capsys, "gen", "--family", "ag", "--q", "3", "--out", str(path))
+
+    def broken_tau(h):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli, "tau", broken_tau)
+    with pytest.raises(KeyError, match="internal"):
+        main(["solve", str(path)])
 
 
 def test_missing_family_params(capsys):

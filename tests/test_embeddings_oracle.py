@@ -22,6 +22,8 @@ from linhyp.deficiency import Embedding, find_embeddings
 from linhyp.hgio import dumps
 from linhyp.rng import SplitMix64
 
+from corpus import bridged, relabel
+
 
 def oracle_find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
     """All edge-induced copies of a catalog entry, one per edge-index set."""
@@ -85,39 +87,6 @@ def oracle_find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
 
     extend(0)
     return sorted(found.values(), key=lambda e: e.edge_indices)
-
-
-def relabel(h: Hypergraph, seed: int) -> Hypergraph:
-    perm = SplitMix64(seed).sample(list(range(h.n)), h.n)
-    return Hypergraph(h.n, [[perm[v] for v in e] for e in h.edges])
-
-
-def bridged(kinds: tuple[str, ...], bridges: int, seed: int) -> Hypergraph:
-    """Disjoint catalog copies joined by 4-edges through fresh vertices.
-
-    Each bridge takes one vertex of degree < 3 from each of two copies and
-    two new vertices, so the host stays 4-uniform, linear, max degree 3.
-    """
-    rng = SplitMix64(seed)
-    n, edges, blocks = 0, [], []
-    for kind in kinds:
-        p = special(kind)
-        edges += [[n + v for v in e] for e in p.edges]
-        blocks.append(range(n, n + p.n))
-        n += p.n
-    for _ in range(bridges):
-        deg = [0] * n
-        for e in edges:
-            for v in e:
-                deg[v] += 1
-        a, b = rng.sample(blocks, 2)
-        open_a = [v for v in a if deg[v] < 3]
-        open_b = [v for v in b if deg[v] < 3]
-        if not open_a or not open_b:
-            continue
-        edges.append([rng.sample(open_a, 1)[0], rng.sample(open_b, 1)[0], n, n + 1])
-        n += 2
-    return relabel(Hypergraph(n, edges), seed)
 
 
 def scrambled(n: int, m: int, sizes: tuple[int, ...], seed: int) -> Hypergraph:

@@ -21,6 +21,8 @@ from linhyp.probability import ShrinkConfig, shrink
 from linhyp.rng import SplitMix64
 from linhyp.solver import TransversalResult, tau
 
+from corpus import random_host
+
 
 def _oracle_greedy_cover(masks: list[int], n: int) -> list[int]:
     uncovered = list(masks)
@@ -110,15 +112,6 @@ def oracle_tau(h: Hypergraph) -> TransversalResult:
     return TransversalResult(best_size, tuple(sorted(best_set)), nodes, "branch_and_bound")
 
 
-def _random_host(rng: SplitMix64, n: int, m: int, max_size: int) -> Hypergraph:
-    """Mixed edge sizes, usually non-linear; vertices may stay isolated."""
-    edges = []
-    for _ in range(m):
-        size = 1 + rng.randbelow(min(n, max_size))
-        edges.append(rng.sample(range(n), size))
-    return Hypergraph(n, edges)
-
-
 def _corpus() -> list[tuple[str, Hypergraph]]:
     corpus = [(name, special(name)) for name in NAMES]
     for q in (2, 3, 4, 5):
@@ -133,7 +126,7 @@ def _corpus() -> list[tuple[str, Hypergraph]]:
         corpus.append((f"random_linear(40,{seed})", random_linear(40, 4, 3, 26, seed)))
     rng = SplitMix64(0x7A0)
     for i in range(40):
-        h = _random_host(rng, 4 + rng.randbelow(22), 1 + rng.randbelow(24), 6)
+        h = random_host(rng, 4 + rng.randbelow(22), 1 + rng.randbelow(24), 6)
         if i % 4 == 0:  # duplicate an edge
             h = Hypergraph(h.n, h.edges + h.edges[-1:])
         corpus.append((f"mixed({i})", h))
@@ -200,7 +193,7 @@ def test_is_linear_matches_pairwise_reference():
     rng = SplitMix64(0x11EA)
     hosts = [h for _, h in CORPUS]
     for _ in range(300):
-        h = _random_host(rng, 3 + rng.randbelow(12), rng.randbelow(8), 4)
+        h = random_host(rng, 3 + rng.randbelow(12), rng.randbelow(8), 4)
         if h.m and rng.randbelow(3) == 0:  # duplicate an edge of any size
             h = Hypergraph(h.n, h.edges + (h.edges[rng.randbelow(h.m)],))
         hosts.append(h)

@@ -44,6 +44,8 @@ from linhyp.verify import (
     obs61_suite,
 )
 
+from corpus import random_host
+
 
 def oracle_enumerate(h: Hypergraph, guard_n: int = 25, guard_tau: int = 8):
     if h.n > guard_n:
@@ -424,15 +426,6 @@ def test_adjacency_masks_match_pairs():
 # -- minimum-transversal enumeration -----------------------------------------
 
 
-def _random_host(rng: SplitMix64, n: int, m: int, max_size: int) -> Hypergraph:
-    """Mixed edge sizes, usually non-linear; vertices may stay isolated."""
-    edges = []
-    for _ in range(m):
-        size = 1 + rng.randbelow(min(n, max_size))
-        edges.append(rng.sample(range(n), size))
-    return Hypergraph(n, edges)
-
-
 def _enumeration_corpus() -> list[tuple[str, Hypergraph]]:
     corpus = [(name, special(name)) for name in NAMES]
     for q in (2, 3, 4):
@@ -440,7 +433,7 @@ def _enumeration_corpus() -> list[tuple[str, Hypergraph]]:
         corpus += [(f"AG(2,{q})-{s}", affine_residual(q, s)) for s in range(1, q + 1)]
     rng = SplitMix64(0xE7A)
     for i in range(40):
-        h = _random_host(rng, 3 + rng.randbelow(18), 1 + rng.randbelow(14), 5)
+        h = random_host(rng, 3 + rng.randbelow(18), 1 + rng.randbelow(14), 5)
         if i % 4 == 0:  # duplicate an edge
             h = Hypergraph(h.n, h.edges + h.edges[-1:])
         corpus.append((f"mixed({i})", h))
