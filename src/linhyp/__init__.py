@@ -2,6 +2,7 @@
 families, the special-hypergraph catalog, deficiency, and verification."""
 
 from .core import (
+    ArgumentError,
     CertificateError,
     Graph,
     Hypergraph,

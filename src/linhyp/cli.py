@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, algebra, catalog, hgio
-from .core import Hypergraph, HypergraphError, dual_graph
+from .core import ArgumentError, Hypergraph, HypergraphError, dual_graph
 from .deficiency import deficiency, estar
 from .matching import max_matching_general
 from .probability import (
@@ -37,6 +37,17 @@ EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 
+# Errors that mean bad input, reported as exit 2; any other exception from a
+# command is a defect and propagates.
+USAGE_ERRORS = (
+    ArgumentError,
+    HypergraphError,
+    algebra.AlgebraError,
+    hgio.FormatError,
+    catalog.CatalogError,
+    OSError,
+)
+
 GUARD_ENV = {
     "solve_n": ("LINHYP_GUARD_SOLVE_N", 60),
     "defic_n": ("LINHYP_GUARD_DEFIC_N", 30),
@@ -45,7 +56,11 @@ GUARD_ENV = {
 
 def _guard(name: str) -> int:
     env, default = GUARD_ENV[name]
-    return int(os.environ.get(env, default))
+    raw = os.environ.get(env, str(default))
+    try:
+        return int(raw)
+    except ValueError:
+        raise ArgumentError(f"{env} must be an integer, not {raw!r}") from None
 
 
 def _manifest(argv, t0: float, inputs: dict[str, str] | None = None, seed=None):
@@ -478,7 +493,7 @@ def main(argv: list[str] | None = None) -> int:
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (HypergraphError, hgio.FormatError, ValueError, catalog.CatalogError, OSError) as exc:
+    except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

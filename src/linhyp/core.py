@@ -17,6 +17,14 @@ class HypergraphError(ValueError):
     """Raised when a construction or operation precondition is violated."""
 
 
+class ArgumentError(ValueError):
+    """An argument lies outside the documented domain of its function.
+
+    Raised only for caller input, so the command line reports it as a usage
+    error; any other ``ValueError`` signals a defect.
+    """
+
+
 class CertificateError(RuntimeError):
     """A computed answer failed the independent re-check of its certificate.
 
@@ -100,7 +108,11 @@ class Hypergraph:
 
 @dataclass(frozen=True)
 class Graph:
-    """A simple graph; optionally carries a bipartition covering ``[0, n)``."""
+    """A simple graph; optionally carries a bipartition covering ``[0, n)``.
+
+    ``edges`` holds each edge once as a pair ``(a, b)`` with ``a < b``, in
+    sorted order.
+    """
 
     n: int
     edges: tuple[tuple[int, int], ...]
@@ -133,6 +145,25 @@ class Graph:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", tuple(sorted(canon)))
         object.__setattr__(self, "bipartition", bip)
+
+    @classmethod
+    def _trusted(
+        cls,
+        n: int,
+        edges: tuple[tuple[int, int], ...],
+        bipartition: tuple[frozenset[int], frozenset[int]],
+    ) -> Graph:
+        """A bipartite Graph from parts already in canonical form, unchecked.
+
+        ``edges`` must be a sorted, duplicate-free tuple of pairs ``(a, b)``
+        with ``0 <= a < b < n``, and ``bipartition`` two frozensets that
+        partition ``range(n)`` and that every edge crosses.
+        """
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "bipartition", bipartition)
+        return g
 
     @property
     def m(self) -> int:
@@ -231,15 +262,20 @@ def complement_hypergraph(h: Hypergraph) -> Hypergraph:
 
 
 def incidence_graph(h: Hypergraph) -> Graph:
-    """Bipartite incidence graph: vertices 0..n-1, then one node per edge."""
-    edges = []
-    for i, e in enumerate(h.edges):
+    """Bipartite incidence graph: vertices 0..n-1, then one node per edge.
+
+    The pairs ``(v, n + i)`` are listed by vertex and, at each vertex, by
+    edge index, which is already the canonical order, so no check is needed.
+    """
+    n = h.n
+    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for node, e in enumerate(h.edges, start=n):
         for v in e:
-            edges.append((v, h.n + i))
-    return Graph(
-        h.n + h.m,
-        edges,
-        bipartition=(range(h.n), range(h.n, h.n + h.m)),
+            at[v].append((v, node))
+    return Graph._trusted(
+        n + h.m,
+        tuple(itertools.chain.from_iterable(at)),
+        (frozenset(range(n)), frozenset(range(n, n + h.m))),
     )
 
 

@@ -77,7 +77,11 @@ def dumps(h: Hypergraph, comment: str | None = None) -> str:
 
 def load(path) -> Hypergraph:
     with open(path, "r", encoding="ascii") as f:
-        return loads(f.read())
+        try:
+            text = f.read()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not ASCII: {exc}") from exc
+    return loads(text)
 
 
 def dump(h: Hypergraph, path, comment: str | None = None) -> None:

@@ -1,12 +1,19 @@
 """Maximum matching: bipartite augmenting paths, general-graph blossom
 contraction, Hall violators, and Tutte-Berge certificates.
 
+Both maximum matchings start greedily: in increasing order, each vertex (each
+left vertex, for the bipartite search) takes its lowest free neighbour.  They
+then augment only from the vertices still unmatched, so most roots need no
+search at all.  The pairs therefore depend on the greedy start; the size does
+not.
+
 The dual identity tau(H) = m(H) - alpha'(dual(H)) for linear hypergraphs of
 maximum degree two is exposed as a two-sided check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional
@@ -34,27 +41,37 @@ class Matching:
         return {v for p in self.pairs for v in p}
 
     def check(self, g: Graph) -> bool:
-        edge_set = set(g.edges)
+        """True iff every pair is an edge of ``g`` and no vertex repeats.
+
+        Each pair, in either orientation, is looked up by bisection in
+        ``g.edges``, which ``Graph`` keeps sorted and duplicate-free.
+        """
+        edges = g.edges
         seen: set[int] = set()
         for a, b in self.pairs:
-            if (min(a, b), max(a, b)) not in edge_set:
+            pair = (a, b) if a < b else (b, a)
+            i = bisect_left(edges, pair)
+            if i == len(edges) or edges[i] != pair:
                 return False
             if a in seen or b in seen:
                 return False
-            seen.update((a, b))
+            seen.add(a)
+            seen.add(b)
         return True
 
 
 def max_matching_bipartite(g: Graph) -> Matching:
     """Maximum matching by alternating-path augmentation from the left side.
 
-    Left vertices are tried in increasing order; each search is a depth-first
-    walk over neighbours in increasing order, kept on an explicit stack so
-    that long augmenting paths need no recursion.  Right vertices are bit
-    positions in increasing id order and each left vertex has a neighbour
-    mask.  Every neighbour a frame has tried is visited, so its next one is
-    the lowest bit of its mask among the unvisited positions.  The result is
-    re-checked, and a failure raises ``CertificateError``.
+    Right vertices are bit positions in increasing id order and each left
+    vertex has a neighbour mask.  A greedy start first gives each left
+    vertex, in increasing order, the lowest free bit of its mask.  The left
+    vertices still unmatched are then tried in increasing order; each search
+    is a depth-first walk over neighbours in increasing order, kept on an
+    explicit stack so that long augmenting paths need no recursion.  Every
+    neighbour a frame has tried is visited, so its next one is the lowest bit
+    of its mask among the unvisited positions.  The result is re-checked, and
+    a failure raises ``CertificateError``.
     """
     if g.bipartition is None:
         raise HypergraphError("bipartite matching needs a bipartition")
@@ -70,6 +87,16 @@ def max_matching_bipartite(g: Graph) -> Matching:
     owner = [-1] * len(right)  # the left vertex matched to each right position
     mate = [-1] * g.n  # the right position matched to each left vertex
     everyone = (1 << len(right)) - 1
+
+    unowned = everyone
+    for u in left:
+        free = nmask[u] & unowned
+        if free:
+            low = free & -free
+            unowned ^= low
+            i = low.bit_length() - 1
+            owner[i] = u
+            mate[u] = i
 
     for root in left:
         if mate[root] >= 0:
@@ -115,7 +142,7 @@ def hall_violator(g: Graph, side: int = 0) -> Optional[frozenset[int]]:
         raise HypergraphError("Hall check needs a bipartition")
     chosen = sorted(g.bipartition[side])
     other_bip = (g.bipartition[1], g.bipartition[0])
-    view = g if side == 0 else Graph(g.n, g.edges, bipartition=other_bip)
+    view = g if side == 0 else Graph._trusted(g.n, g.edges, other_bip)
     match = {a: b for a, b in max_matching_bipartite(view).pairs}
     match.update({b: a for a, b in match.items()})
     unmatched = [v for v in chosen if v not in match]
@@ -143,10 +170,26 @@ def hall_violator(g: Graph, side: int = 0) -> Optional[frozenset[int]]:
 
 
 def max_matching_general(g: Graph) -> Matching:
-    """Maximum matching in an arbitrary graph (blossom contraction)."""
+    """Maximum matching in an arbitrary graph (blossom contraction).
+
+    A greedy start gives each vertex, in increasing order, its lowest
+    unmatched neighbour; a breadth-first search with blossom contraction then
+    augments from each vertex still unmatched.  The result is re-checked, and
+    a failure raises ``CertificateError``.
+    """
     n = g.n
-    adj = [sorted(nb) for nb in g.adjacency()]
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for a, b in g.edges:  # sorted with a < b, so every list comes out sorted
+        adj[a].append(b)
+        adj[b].append(a)
     match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
     parent = [-1] * n
     base = list(range(n))
 
@@ -179,8 +222,10 @@ def max_matching_general(g: Graph) -> Matching:
         in_queue = [False] * n
         queue = [root]
         in_queue[root] = True
-        while queue:
-            v = queue.pop(0)
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
             for w in adj[v]:
                 if base[v] == base[w] or match[v] == w:
                     continue

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import CertificateError, Hypergraph, HypergraphError, is_k_uniform
+from .core import ArgumentError, CertificateError, Hypergraph, HypergraphError, is_k_uniform
 from .rng import SplitMix64
 
 GUARD_BAND = 1e-12
@@ -22,7 +22,7 @@ GUARD_BAND = 1e-12
 def binom(n: int, r: int) -> int:
     """Exact binomial coefficient; r > n yields 0 by convention."""
     if n < 0 or r < 0:
-        raise ValueError("binom needs non-negative arguments")
+        raise ArgumentError("binom needs non-negative arguments")
     if r > n:
         return 0
     return math.comb(n, r)
@@ -31,7 +31,7 @@ def binom(n: int, r: int) -> int:
 def pr_uncovered(k: int, t: int) -> Fraction:
     """Probability a shrunk k-subset of a 2k-edge avoids t marked vertices."""
     if not 0 <= t <= 2 * k:
-        raise ValueError(f"t must lie in [0, {2 * k}]")
+        raise ArgumentError(f"t must lie in [0, {2 * k}]")
     return Fraction(binom(2 * k - t, k), binom(2 * k, k))
 
 
@@ -60,7 +60,7 @@ def balanced_bound(k: int, n: int, t_size: int) -> Fraction:
     covered).
     """
     if t_size > n:
-        raise ValueError("|T| cannot exceed n")
+        raise ArgumentError("|T| cannot exceed n")
     split = balanced_split(2 * k * t_size, n)
     prod = Fraction(1)
     for s in split:
@@ -72,9 +72,9 @@ def final_bound(k: int, n: int, c: float) -> float:
     """exp(|T| ln n - n / (5 * 2^{s*})) with |T| = floor(c ln(k)/k * n) and
     s* = 2 c ln k; an upper bound for the success probability."""
     if k < 2 or n < 2:
-        raise ValueError("need k >= 2 and n >= 2")
+        raise ArgumentError("need k >= 2 and n >= 2")
     if not 0 < c < 1 / math.log(4):
-        raise ValueError("need 0 < c < 1/ln 4")
+        raise ArgumentError("need 0 < c < 1/ln 4")
     t_size = math.floor(c * math.log(k) / k * n)
     s_star = 2 * c * math.log(k)
     return math.exp(t_size * math.log(n) - n / (5 * 2**s_star))
@@ -87,7 +87,7 @@ def check_condition(k: int, c: float, n: int, coefficient: float = 5.0) -> bool:
     strict inequality near the boundary.
     """
     if k < 2 or n < 2 or c <= 0:
-        raise ValueError("need k >= 2, n >= 2, c > 0")
+        raise ArgumentError("need k >= 2, n >= 2, c > 0")
     lhs = coefficient * c * math.log(k) * math.log(n)
     rhs = k ** (1 - c * math.log(4))
     return lhs * (1 + GUARD_BAND) < rhs
@@ -112,7 +112,7 @@ def threshold_scan(k_lo: int, k_hi: int, coefficient: float = 5.0) -> ThresholdS
     violations found in the window (reported, not assumed away).
     """
     if not 2 <= k_lo <= k_hi:
-        raise ValueError("need 2 <= k_lo <= k_hi")
+        raise ArgumentError("need 2 <= k_lo <= k_hi")
     results = []
     for k in range(k_lo, k_hi + 1):
         c = remark_c(k)
@@ -194,7 +194,7 @@ def claim_c3_envelope() -> tuple[float, float]:
 def lemma_x2_check(x: float) -> bool:
     """(1 - 1/x)^x < 1/e < (1 - 1/x)^(x-1) for x > 1."""
     if x <= 1:
-        raise ValueError("need x > 1")
+        raise ArgumentError("need x > 1")
     lo = (1 - 1 / x) ** x
     hi = (1 - 1 / x) ** (x - 1)
     e_inv = math.exp(-1)
@@ -207,7 +207,7 @@ def claim_c4_fcheck(x, y) -> bool:
     Exact rationals when both arguments are integers, doubles otherwise.
     """
     if not 0 <= y <= x:
-        raise ValueError("need 0 <= y <= x")
+        raise ArgumentError("need 0 <= y <= x")
     if isinstance(x, int) and isinstance(y, int):
 
         def f(s: int) -> Fraction:
@@ -262,9 +262,9 @@ def mc_tau_profile(p: int, trials: int, seed: int) -> McProfile:
     Supported p keep the shrunk instances within easy solver reach.
     """
     if p not in (3, 5, 7):
-        raise ValueError("supported p: 3, 5, 7")
+        raise ArgumentError("supported p: 3, 5, 7")
     if trials < 1:
-        raise ValueError("need at least one trial")
+        raise ArgumentError("need at least one trial")
     from .algebra import projective_plane
     from .solver import tau
 

@@ -7,6 +7,8 @@ XOR-ing the base seed (for example with an edge index) before construction.
 
 from __future__ import annotations
 
+from .core import ArgumentError
+
 MASK = (1 << 64) - 1
 
 
@@ -26,14 +28,14 @@ class SplitMix64:
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n); modulo bias is ~n/2^64, negligible."""
         if n <= 0:
-            raise ValueError("randbelow needs n >= 1")
+            raise ArgumentError("randbelow needs n >= 1")
         return self.next_u64() % n
 
     def sample(self, population: list, k: int) -> list:
         """k distinct items via a partial Fisher-Yates shuffle; order random."""
         pool = list(population)
         if k > len(pool):
-            raise ValueError("sample larger than population")
+            raise ArgumentError("sample larger than population")
         for i in range(k):
             j = i + self.randbelow(len(pool) - i)
             pool[i], pool[j] = pool[j], pool[i]

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 from .catalog import NAMES, SHAPES, DEFIC_WEIGHT, order_class, special
 from .core import (
+    ArgumentError,
     Graph,
     Hypergraph,
     HypergraphError,
@@ -512,7 +513,7 @@ def bound_check(subject, bound_id: str) -> BoundResult:
         _require(is_k_uniform(h, 4), "LAICHANG needs a 4-uniform hypergraph")
         bound = Fraction(2 * (n + m), 9)
     else:
-        raise ValueError(f"unknown bound id {bound_id!r}")
+        raise ArgumentError(f"unknown bound id {bound_id!r}")
     t = tau(h).tau
     return BoundResult(bound_id, t <= bound, t, bound, bound - t)
 

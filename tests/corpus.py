@@ -1,9 +1,10 @@
-"""Seeded host generators shared by the differential (frozen-oracle) tests."""
+"""Seeded host generators and reference helpers shared by the differential
+(frozen-oracle) tests."""
 
 from __future__ import annotations
 
 from linhyp.catalog import special
-from linhyp.core import Hypergraph, vertex_mask
+from linhyp.core import Graph, Hypergraph, vertex_mask
 from linhyp.rng import SplitMix64
 
 
@@ -78,3 +79,18 @@ def glued(kinds: tuple[str, ...], extra: int, seed: int) -> Hypergraph:
             edges.append(e)
             masks.append(em)
     return relabel(Hypergraph(n, edges), seed)
+
+
+def greedy_start(g: Graph) -> dict[int, int]:
+    """The greedy start of ``max_matching_bipartite`` on adjacency sets: each
+    left vertex, in increasing order, takes its least unmatched neighbour.
+    The map holds both directions of every pair."""
+    adj = g.adjacency()
+    match: dict[int, int] = {}
+    for v in sorted(g.bipartition[0]):
+        free = [w for w in adj[v] if w not in match]
+        if free:
+            w = min(free)
+            match[v] = w
+            match[w] = v
+    return match

@@ -98,3 +98,28 @@ def test_bipartite_check_survives_python_O():
         "    print('raised')\n"
     )
     assert _run_under_O(script) == "raised"
+
+
+def test_blossom_check_survives_python_O():
+    script = (
+        "from linhyp import CertificateError, max_matching_general\n"
+        "from linhyp.core import complete_graph\n"
+        "from linhyp.matching import Matching\n"
+        "Matching.check = lambda self, g: False\n"
+        "try:\n"
+        "    max_matching_general(complete_graph(4))\n"
+        "except CertificateError:\n"
+        "    print('raised')\n"
+    )
+    assert _run_under_O(script) == "raised"
+
+
+def test_matching_check_rejects_under_python_O():
+    script = (
+        "from linhyp.core import Graph\n"
+        "from linhyp.matching import Matching\n"
+        "g = Graph(4, [(0, 1), (1, 2), (2, 3)])\n"
+        "cases = [((0, 2),), ((0, 1), (1, 2)), ((3, 4),), ((3, 2), (1, 0))]\n"
+        "print([Matching(p).check(g) for p in cases])\n"
+    )
+    assert _run_under_O(script) == "[False, False, False, True]"

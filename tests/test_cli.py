@@ -206,6 +206,47 @@ def test_library_key_error_propagates(tmp_path, capsys, monkeypatch):
         main(["solve", str(path)])
 
 
+def test_library_value_error_propagates(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f9.hg"
+    run(capsys, "gen", "--family", "ag", "--q", "3", "--out", str(path))
+
+    def broken_tau(h):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli, "tau", broken_tau)
+    with pytest.raises(ValueError, match="internal"):
+        main(["solve", str(path)])
+
+
+def test_probability_argument_exit_code(capsys):
+    code, _, err = run(capsys, "prob", "bound", "--k", "1", "--n", "10", "--c", "0.5")
+    assert code == EXIT_USAGE
+    assert "k >= 2" in err
+
+
+def test_non_integer_guard_exit_code(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "f9.hg"
+    run(capsys, "gen", "--family", "ag", "--q", "3", "--out", str(path))
+    monkeypatch.setenv("LINHYP_GUARD_SOLVE_N", "sixty")
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == EXIT_USAGE
+    assert "LINHYP_GUARD_SOLVE_N" in err
+
+
+def test_bad_plane_order_exit_code(capsys):
+    code, _, err = run(capsys, "gen", "--family", "pg", "--q", "6")
+    assert code == EXIT_USAGE
+    assert "prime power" in err
+
+
+def test_non_ascii_file_exit_code(tmp_path, capsys):
+    path = tmp_path / "bad.hg"
+    path.write_bytes("c caf\u00e9\np hg 2 1\ne 1 2\n".encode("utf-8"))
+    code, _, err = run(capsys, "solve", str(path))
+    assert code == EXIT_USAGE
+    assert "ASCII" in err
+
+
 def test_missing_family_params(capsys):
     code, _, err = run(capsys, "gen", "--family", "lk")
     assert code == EXIT_USAGE

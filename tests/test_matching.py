@@ -29,12 +29,15 @@ from linhyp.matching import (
     tutte_berge_certificate,
 )
 
+from corpus import greedy_start
 
-def recursive_bipartite_matching(g: Graph) -> Matching:
-    """Reference: the same augmenting-path search written recursively."""
+
+def recursive_bipartite_matching(g: Graph, start: dict[int, int] | None = None) -> Matching:
+    """Reference: the same augmenting-path search written recursively, from
+    the empty matching or from ``start`` (both directions of each pair)."""
     left = sorted(g.bipartition[0])
     adj = g.adjacency()
-    match: dict[int, int] = {}
+    match: dict[int, int] = dict(start or {})
 
     def try_augment(v: int, visited: set[int]) -> bool:
         for w in sorted(adj[v]):
@@ -109,12 +112,48 @@ class TestBipartite:
         assert m.check(g)
         assert m.pairs == tuple((left[i], right[i]) for i in range(k))
 
+    def test_long_path_augments_through_the_greedy_start(self):
+        # the path above: the greedy start gives each l_i, i < k, its lower id
+        # a_{i+1} and leaves l_k alone, so the one augmenting path runs from
+        # l_k through all k left vertices and flips all k - 1 greedy pairs
+        k = 2000
+        left = list(range(k))
+        right = [2 * k - 1 - i for i in range(k)]
+        edges = [(left[i], right[i]) for i in range(k)]
+        edges += [(left[i], right[i + 1]) for i in range(k - 1)]
+        g = Graph(2 * k, edges, bipartition=(left, right))
+        start = greedy_start(g)
+        assert [v for v in left if v not in start] == [left[-1]]
+        pairs = max_matching_bipartite(g).pairs
+        assert all(start[u] != w for u, w in pairs[:-1])
+
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
     def test_same_pairs_as_recursive_reference(self, q):
         g = incidence_graph(projective_plane(q))
         m = max_matching_bipartite(g)
-        assert m == recursive_bipartite_matching(g)
-        assert m.size == q * q + q + 1
+        assert m == recursive_bipartite_matching(g, greedy_start(g))
+        assert m.size == recursive_bipartite_matching(g).size == q * q + q + 1
+
+
+class TestMatchingCheck:
+    # edges (0,1) (1,2) (2,3); vertex 4 is isolated
+    G = Graph(5, [(2, 3), (0, 1), (1, 2)])
+
+    def test_accepts_reversed_pairs(self):
+        assert Matching(((1, 0), (3, 2))).check(self.G)
+
+    def test_rejects_a_non_edge(self):
+        assert not Matching(((0, 2),)).check(self.G)
+        assert not Matching(((2, 0),)).check(self.G)
+
+    def test_rejects_a_repeated_vertex(self):
+        assert not Matching(((0, 1), (1, 2))).check(self.G)
+        assert not Matching(((1, 2), (2, 1))).check(self.G)
+
+    def test_rejects_a_pair_past_the_last_edge(self):
+        assert not Matching(((3, 4),)).check(self.G)
+        assert not Matching(((4, 3),)).check(self.G)
+        assert not Matching(((0, 1),)).check(Graph(2, []))
 
 
 class TestHallViolator:

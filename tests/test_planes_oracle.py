@@ -1,6 +1,12 @@
-"""Plane construction on integer field codes and the bitset bipartite search
-against frozen copies of the tuple-arithmetic constructions and of the
-neighbour-iterator augmenting search they replaced."""
+"""Plane construction on integer field codes, the bitset bipartite search and
+the trusted incidence graph against frozen copies of the tuple-arithmetic
+constructions, the neighbour-iterator augmenting search and the validating
+``Graph`` construction they replaced.
+
+The bipartite search starts from a greedy matching, so its pairs are
+pinned to the frozen search run from the same greedy start, and its size to
+the frozen search run from the empty matching.
+"""
 
 from __future__ import annotations
 
@@ -9,8 +15,15 @@ import pytest
 from linhyp import matching
 from linhyp.algebra import affine_plane, field_tables, gf, projective_plane
 from linhyp.core import Graph, Hypergraph, incidence_graph
-from linhyp.matching import Matching, hall_violator, max_matching_bipartite
+from linhyp.matching import (
+    Matching,
+    hall_violator,
+    max_matching_bipartite,
+    max_matching_general,
+)
 from linhyp.rng import SplitMix64
+
+from corpus import greedy_start, random_host
 
 # e = 1 to 5: primes, 4 8 16 32, 9 27, 25
 PLANE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 37]
@@ -81,11 +94,11 @@ def oracle_projective_plane(q: int) -> Hypergraph:
     return Hypergraph(len(points), lines)
 
 
-def oracle_bipartite(g: Graph) -> Matching:
+def oracle_bipartite(g: Graph, start: dict[int, int] | None = None) -> Matching:
     left = sorted(g.bipartition[0])
     adj = g.adjacency()
     nbrs = {v: sorted(adj[v]) for v in left}
-    match: dict[int, int] = {}
+    match: dict[int, int] = dict(start or {})
 
     for root in left:
         if root in match:
@@ -116,6 +129,18 @@ def oracle_bipartite(g: Graph) -> Matching:
     return Matching(tuple(pairs))
 
 
+def oracle_incidence_graph(h: Hypergraph) -> Graph:
+    edges = []
+    for i, e in enumerate(h.edges):
+        for v in e:
+            edges.append((v, h.n + i))
+    return Graph(
+        h.n + h.m,
+        edges,
+        bipartition=(range(h.n), range(h.n, h.n + h.m)),
+    )
+
+
 @pytest.mark.parametrize("q", PLANE_ORDERS)
 def test_planes_match_frozen_tuple_construction(q):
     assert projective_plane(q) == oracle_projective_plane(q)
@@ -136,12 +161,43 @@ def test_field_tables_agree_with_tuple_arithmetic(q):
             assert elems[mul[i][j]] == field.mul(a, b)
 
 
+def assert_same_incidence_graph(h: Hypergraph) -> None:
+    g = incidence_graph(h)
+    assert g == oracle_incidence_graph(h)
+    # Matching.check bisects in g.edges, so they must be sorted and distinct
+    assert list(g.edges) == sorted(set(g.edges))
+
+
+@pytest.mark.parametrize("q", PLANE_ORDERS)
+def test_incidence_graph_matches_validating_construction_on_planes(q):
+    assert_same_incidence_graph(projective_plane(q))
+    assert_same_incidence_graph(affine_plane(q))
+
+
+INCIDENCE_HOSTS = {
+    "duplicate-edges": Hypergraph(6, [[0, 1, 2], [0, 1, 2], [2, 3], [2, 3], [4]]),
+    "isolated-vertices": Hypergraph(9, [[1, 7], [3, 4, 7], [1, 3]]),
+    "duplicates-and-isolated": Hypergraph(7, [[5], [2, 5], [5], [2, 5], [0, 2, 6]]),
+    "edgeless": Hypergraph(5, []),
+    "empty": Hypergraph(0, []),
+    **{
+        f"random-{i}": random_host(SplitMix64(0x1C + i), 3 + i, 2 + 2 * i, 4)
+        for i in range(12)
+    },
+}
+
+
+@pytest.mark.parametrize("name", INCIDENCE_HOSTS)
+def test_incidence_graph_matches_validating_construction_on_hosts(name):
+    assert_same_incidence_graph(INCIDENCE_HOSTS[name])
+
+
 @pytest.mark.parametrize("q", PLANE_ORDERS)
 def test_bipartite_pairs_match_frozen_search_on_planes(q):
     g = incidence_graph(projective_plane(q))
     m = max_matching_bipartite(g)
-    assert m == oracle_bipartite(g)
-    assert m.size == q * q + q + 1
+    assert m == oracle_bipartite(g, greedy_start(g))
+    assert m.size == oracle_bipartite(g).size == q * q + q + 1
 
 
 def _random_bipartite(rng: SplitMix64) -> Graph:
@@ -178,7 +234,23 @@ def test_random_corpus_reaches_interleaved_and_deficient_sides():
 def test_bipartite_pairs_match_frozen_search_on_random_graphs(i):
     g = RANDOM_GRAPHS[i]
     m = max_matching_bipartite(g)
-    assert m == oracle_bipartite(g)
+    assert m == oracle_bipartite(g, greedy_start(g))
+    assert m.size == oracle_bipartite(g).size
+
+
+def test_greedy_start_changes_the_pairs_on_52_random_graphs():
+    changed = sum(
+        oracle_bipartite(g, greedy_start(g)) != oracle_bipartite(g)
+        for g in RANDOM_GRAPHS
+    )
+    assert changed == 52
+
+
+def test_blossom_sizes_match_frozen_search_on_random_graphs():
+    for g in RANDOM_GRAPHS:
+        m = max_matching_general(g)
+        assert m.check(g)
+        assert m.size == oracle_bipartite(g).size
 
 
 def test_hall_violators_match_frozen_search(monkeypatch):

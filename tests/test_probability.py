@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from linhyp.algebra import projective_plane
-from linhyp.core import Hypergraph, HypergraphError, is_k_uniform
+from linhyp.core import ArgumentError, Hypergraph, HypergraphError, is_k_uniform
 from linhyp.probability import (
     ShrinkConfig,
     balanced_bound,
@@ -27,6 +27,7 @@ from linhyp.probability import (
     shrink,
     threshold_scan,
 )
+from linhyp.rng import SplitMix64
 
 
 class TestBinom:
@@ -38,7 +39,7 @@ class TestBinom:
         assert binom(3, 5) == 0
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             binom(-1, 0)
 
     def test_pascal_identity_grid(self):
@@ -67,7 +68,7 @@ class TestPrUncovered:
                 assert pr_uncovered(k, t) == Fraction(len(avoiding), len(subsets))
 
     def test_out_of_range(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             pr_uncovered(2, 5)
 
 
@@ -140,7 +141,7 @@ class TestFinalBound:
         assert v == pytest.approx(math.exp(-n / 5), rel=1e-6)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             final_bound(2, 10, 0.9)
 
 
@@ -202,7 +203,7 @@ class TestLemmaX2:
         assert lemma_x2_check(x)
 
     def test_domain(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             lemma_x2_check(1.0)
 
 
@@ -269,8 +270,6 @@ class TestShrink:
 
 def sorted_by_source(plane, shrunk, seed):
     # shrunk edges in canonical order may permute; recompute per-edge draws
-    from linhyp.rng import SplitMix64
-
     out = []
     for i, e in enumerate(plane.edges):
         rng = SplitMix64(seed ^ i)
@@ -295,5 +294,15 @@ class TestMcProfile:
         assert prof.frac_exceeding_bound == 0.0
 
     def test_unsupported_p(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             mc_tau_profile(4, 1, seed=0)
+
+
+class TestSplitMix64Arguments:
+    def test_randbelow_needs_a_positive_bound(self):
+        with pytest.raises(ArgumentError):
+            SplitMix64(1).randbelow(0)
+
+    def test_sample_no_larger_than_population(self):
+        with pytest.raises(ArgumentError):
+            SplitMix64(1).sample([1, 2], 3)

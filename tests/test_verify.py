@@ -12,7 +12,7 @@ from linhyp.algebra import (
     random_linear,
 )
 from linhyp.catalog import NAMES, special
-from linhyp.core import Hypergraph, hypergraph_isomorphic, is_connected
+from linhyp.core import ArgumentError, Hypergraph, hypergraph_isomorphic, is_connected
 from linhyp.solver import tau
 from linhyp.verify import (
     HypothesisViolation,
@@ -159,7 +159,7 @@ class TestBoundCheck:
         assert res.holds and res.slack == 0  # the unique extremal graph
 
     def test_unknown_bound(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ArgumentError):
             bound_check(special("H4"), "NOPE")
 
 
