@@ -15,23 +15,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
-from .core import Graph, Hypergraph, incidence_graph, vertex_mask
+from .core import (
+    Graph,
+    Hypergraph,
+    complement_hypergraph,
+    delete_vertices,
+    incidence_graph,
+    vertex_mask,
+)
 from .rng import SplitMix64
 
 
 class AlgebraError(ValueError):
     """Bad parameter for a field or family constructor."""
-
-
-def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
 
 
 def prime_power(q: int) -> Optional[tuple[int, int]]:
@@ -279,10 +275,7 @@ def affine_residual(q: int, s: int) -> Hypergraph:
     if not 1 <= s <= q:
         raise AlgebraError(f"s must lie in [1, {q}]")
     plane = affine_plane(q)
-    first_line = plane.edges[0]
-    from .core import delete_vertices
-
-    return delete_vertices(plane, first_line[:s])
+    return delete_vertices(plane, plane.edges[0][:s])
 
 
 def l_k(k: int) -> Hypergraph:
@@ -371,6 +364,4 @@ def g30() -> Graph:
 
 def fano_complement() -> Hypergraph:
     """Complement of the Fano plane: 4-uniform, non-linear, n = m = 7."""
-    from .core import complement_hypergraph
-
     return complement_hypergraph(projective_plane(2))

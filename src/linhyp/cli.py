@@ -17,7 +17,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import __version__, algebra, catalog, hgio
-from .core import ArgumentError, Hypergraph, HypergraphError, dual_graph
+from .core import ArgumentError, Hypergraph, HypergraphError, bipartite_complement, dual_graph
 from .deficiency import deficiency, estar
 from .matching import max_matching_general
 from .probability import (
@@ -165,9 +165,10 @@ def cmd_gen(args, argv) -> int:
 def cmd_solve(args, argv) -> int:
     t0 = time.perf_counter()
     h = hgio.load(args.file)
-    if h.n > _guard("solve_n"):
+    limit = _guard("solve_n")
+    if h.n > limit:
         raise GuardExceeded(
-            f"n={h.n} beyond solve guard {_guard('solve_n')} "
+            f"n={h.n} beyond solve guard {limit} "
             f"(override with {GUARD_ENV['solve_n'][0]})"
         )
     res = tau(h)
@@ -331,8 +332,6 @@ def cmd_verify(args, argv) -> int:
     if sub == "bounds":
         if args.corpus == "builtin":
             if args.bound == "TD37":
-                from .core import bipartite_complement
-
                 corpus = [
                     ("heawood-bipartite-complement",
                      bipartite_complement(algebra.heawood())),

@@ -216,14 +216,9 @@ def delete_vertices(h: Hypergraph, xs: Iterable[int]) -> Hypergraph:
     """H - X: drop edges meeting X, drop X, drop resulting isolated vertices.
 
     Remaining vertices are re-indexed densely, preserving relative order.
+    This is ``shrink_remove`` with an empty Y.
     """
-    xset = set(xs)
-    if any(v < 0 or v >= h.n for v in xset):
-        raise HypergraphError("deleted vertex out of range")
-    kept_edges = [e for e in h.edges if not xset & set(e)]
-    used = sorted({v for e in kept_edges for v in e})
-    rid = {v: i for i, v in enumerate(used)}
-    return Hypergraph(len(used), [[rid[v] for v in e] for e in kept_edges])
+    return shrink_remove(h, xs, ())
 
 
 def shrink_remove(h: Hypergraph, xs: Iterable[int], ys: Iterable[int]) -> Hypergraph:
@@ -321,8 +316,11 @@ def dual_graph(h: Hypergraph) -> Graph:
     return Graph(h.m, pairs)
 
 
-def components(h: Hypergraph) -> list[set[int]]:
-    """Connected components as vertex sets, ordered by smallest member."""
+def components(h: Hypergraph | Graph) -> list[set[int]]:
+    """Connected components as vertex sets, ordered by smallest member.
+
+    Reads only ``n`` and ``edges``, so it serves graphs as well.
+    """
     parent = list(range(h.n))
 
     def find(a: int) -> int:
@@ -342,11 +340,11 @@ def components(h: Hypergraph) -> list[set[int]]:
     return sorted(groups.values(), key=min)
 
 
-def component_count(h: Hypergraph) -> int:
+def component_count(h: Hypergraph | Graph) -> int:
     return len(components(h))
 
 
-def is_connected(h: Hypergraph) -> bool:
+def is_connected(h: Hypergraph | Graph) -> bool:
     return h.n == 0 or component_count(h) == 1
 
 
@@ -464,30 +462,6 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
     if g1.n != g2.n or g1.m != g2.m:
         return False
     return _iso_backtrack(g1.n, g1.edges, g2.edges) is not None
-
-
-def graph_components(g: Graph) -> list[set[int]]:
-    adj = g.adjacency()
-    seen: set[int] = set()
-    out = []
-    for s in range(g.n):
-        if s in seen:
-            continue
-        comp = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        seen |= comp
-        out.append(comp)
-    return out
-
-
-def graph_is_connected(g: Graph) -> bool:
-    return g.n == 0 or len(graph_components(g)) == 1
 
 
 def girth(g: Graph) -> Optional[int]:

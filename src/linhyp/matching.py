@@ -23,8 +23,8 @@ from .core import (
     Graph,
     Hypergraph,
     HypergraphError,
+    components,
     dual_graph,
-    graph_components,
 )
 from .solver import GuardExceeded, tau
 
@@ -36,9 +36,6 @@ class Matching:
     @property
     def size(self) -> int:
         return len(self.pairs)
-
-    def vertices(self) -> set[int]:
-        return {v for p in self.pairs for v in p}
 
     def check(self, g: Graph) -> bool:
         """True iff every pair is an edge of ``g`` and no vertex repeats.
@@ -296,7 +293,7 @@ def odd_components(g: Graph, removed: frozenset[int]) -> int:
     keep = [v for v in range(g.n) if v not in removed]
     rid = {v: i for i, v in enumerate(keep)}
     sub = Graph(len(keep), [(rid[a], rid[b]) for a, b in sub_edges])
-    return sum(1 for comp in graph_components(sub) if len(comp) % 2 == 1)
+    return sum(1 for comp in components(sub) if len(comp) % 2 == 1)
 
 
 def tutte_berge_certificate(g: Graph, guard_n: int = 20) -> tuple[frozenset[int], int]:

@@ -13,8 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .algebra import projective_plane
 from .core import ArgumentError, CertificateError, Hypergraph, HypergraphError, is_k_uniform
 from .rng import SplitMix64
+from .solver import tau
 
 GUARD_BAND = 1e-12
 
@@ -62,10 +64,7 @@ def balanced_bound(k: int, n: int, t_size: int) -> Fraction:
     if t_size > n:
         raise ArgumentError("|T| cannot exceed n")
     split = balanced_split(2 * k * t_size, n)
-    prod = Fraction(1)
-    for s in split:
-        prod *= 1 - pr_uncovered(k, min(s, 2 * k))
-    return binom(n, t_size) * prod
+    return binom(n, t_size) * pr_transversal(k, [min(s, 2 * k) for s in split])
 
 
 def final_bound(k: int, n: int, c: float) -> float:
@@ -265,9 +264,6 @@ def mc_tau_profile(p: int, trials: int, seed: int) -> McProfile:
         raise ArgumentError("supported p: 3, 5, 7")
     if trials < 1:
         raise ArgumentError("need at least one trial")
-    from .algebra import projective_plane
-    from .solver import tau
-
     plane = projective_plane(p)
     k = (p + 1) // 2
     bound = Fraction(plane.n + plane.m, k + 1)

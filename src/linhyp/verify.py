@@ -15,6 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
+from .algebra import affine_residual
 from .catalog import NAMES, SHAPES, DEFIC_WEIGHT, order_class, special
 from .core import (
     ArgumentError,
@@ -23,6 +24,7 @@ from .core import (
     HypergraphError,
     components,
     degrees,
+    hypergraph_isomorphic,
     is_connected,
     is_k_uniform,
     is_linear,
@@ -30,7 +32,7 @@ from .core import (
     vertex_mask,
 )
 from .deficiency import deficiency
-from .solver import enumerate_min_transversals, tau
+from .solver import enumerate_min_transversals, gamma_t, tau
 
 
 @dataclass(frozen=True)
@@ -352,54 +354,27 @@ def _check_property_o(
     share at most one vertex, and a shared vertex needs degree <= 1 (its
     host degree would otherwise exceed three).
 
-    Pairs are indexed in lexicographic order.  ``compat[i]`` is the index
-    mask of the later pairs compatible with pair i, and ``met[i]`` the edge
-    mask of the edges whose hit mask meets pair i's, so a triple passes iff
-    the OR of its three ``met`` masks holds every edge.  The union only
-    grows, so a first pair, or a first two, that already meet every edge
-    are skipped whole.  The triple reported is the first failing one in
-    the lexicographic order of pair indices.
-
-    Every minimum transversal meets every edge, so each edge's hit mask is
-    the full mask, and the item as stated reduces to "some minimum
-    transversal meets p1, p2 or p3", which item (g) already implies.
+    Every minimum transversal covers every edge, so the item reduces to
+    "some minimum transversal meets p1, p2 or p3", which item (g) already
+    implies: a triple fails iff none of its pairs meets a minimum
+    transversal, and then it misses edge 0, the lowest edge.  An edgeless
+    H passes.  Pairs are indexed in lexicographic order, and the triple
+    reported is the first failing one in the order of pair indices.
     """
-    valid_pairs = [
+    if not h.m:
+        return True, None
+    unhit = [
         (a, b)
         for a, b in combinations(range(h.n), 2)
-        if not adj[a] >> b & 1 and deg[a] <= 2 and deg[b] <= 2
+        if not adj[a] >> b & 1
+        and deg[a] <= 2
+        and deg[b] <= 2
+        and not idx.hitting((a, b))
     ]
-    edge_hits = [idx.hitting(e) for e in h.edges]
-    every_edge = (1 << len(edge_hits)) - 1
-    met = []
-    for p in valid_pairs:
-        hp = idx.hitting(p)
-        met.append(vertex_mask(i for i, eh in enumerate(edge_hits) if hp & eh))
-    # pairs through each vertex of degree >= 2, which no other pair may share
-    blocking = [0] * h.n
-    for i, (a, b) in enumerate(valid_pairs):
-        for v in (a, b):
-            if deg[v] > 1:
-                blocking[v] |= 1 << i
-    every_pair = (1 << len(valid_pairs)) - 1
-    compat = [
-        every_pair & ~((2 << i) - 1) & ~(blocking[a] | blocking[b])
-        for i, (a, b) in enumerate(valid_pairs)
-    ]
-    for i1, p1 in enumerate(valid_pairs):
-        if met[i1] == every_edge:
-            continue
-        for i2 in members(compat[i1]):
-            m12 = met[i1] | met[i2]
-            if m12 == every_edge:
-                continue
-            for i3 in members(compat[i1] & compat[i2]):
-                union = m12 | met[i3]
-                if union != every_edge:
-                    # the lowest edge outside the union
-                    bad_edge = (~union & (union + 1)).bit_length() - 1
-                    p2, p3 = valid_pairs[i2], valid_pairs[i3]
-                    return False, f"triple {p1},{p2},{p3} misses edge {bad_edge}"
+    for p1, p2, p3 in combinations(unhit, 3):
+        shared = (set(p1) & set(p2)) | (set(p1) & set(p3)) | (set(p2) & set(p3))
+        if all(deg[v] <= 1 for v in shared):
+            return False, f"triple {p1},{p2},{p3} misses edge 0"
     return True, None
 
 
@@ -502,8 +477,6 @@ def bound_check(subject, bound_id: str) -> BoundResult:
         _require(is_linear(h), "DEG2 needs a linear hypergraph")
         _require(is_connected(h), "DEG2 needs a connected hypergraph")
         _require(h.max_degree() <= 2, "DEG2 needs maximum degree <= 2")
-        from .core import hypergraph_isomorphic
-
         _require(
             not hypergraph_isomorphic(h, special("H10")),
             "DEG2 excludes H_10",
@@ -519,8 +492,6 @@ def bound_check(subject, bound_id: str) -> BoundResult:
 
 
 def _bound_td37(g: Graph) -> BoundResult:
-    from .solver import gamma_t
-
     _require(isinstance(g, Graph), "TD37 takes a graph")
     _require(min(g.degrees()) >= 4, "TD37 needs minimum degree >= 4")
     gt = gamma_t(g)
@@ -540,8 +511,6 @@ def _require(cond: bool, reason: str) -> None:
 def theorem_mainyy_check(q: int, s: int) -> bool:
     """Residual plane identities: tau = 2q-1-s, n = q^2-s, m = q^2+q-1-qs,
     and tau = (n+m)/(q+1) exactly."""
-    from .algebra import affine_residual
-
     h = affine_residual(q, s)
     return mainyy_identities_hold(q, s, h, tau(h).tau)
 

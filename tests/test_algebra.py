@@ -22,7 +22,6 @@ from linhyp.catalog import special
 from linhyp.core import (
     degrees,
     girth,
-    graph_is_connected,
     hypergraph_isomorphic,
     is_connected,
     is_k_uniform,
@@ -238,7 +237,7 @@ class TestNamedGraphs:
         assert g.n == 14
         assert set(g.degrees()) == {3}
         assert girth(g) == 6
-        assert graph_is_connected(g)
+        assert is_connected(g)
 
     def test_g30(self):
         g = g30()

@@ -15,6 +15,7 @@ from linhyp.core import (
     complement_hypergraph,
     complete_bipartite,
     complete_graph,
+    component_count,
     components,
     cycle_graph,
     degrees,
@@ -23,12 +24,16 @@ from linhyp.core import (
     graph_isomorphic,
     hypergraph_isomorphic,
     incidence_graph,
+    is_connected,
     is_k_uniform,
     is_linear,
     onh,
     shrink_remove,
 )
+from linhyp.rng import SplitMix64
 from linhyp.solver import gamma_t_bruteforce, tau
+
+from corpus import random_host
 
 
 def h4() -> Hypergraph:
@@ -125,6 +130,19 @@ class TestShrinkRemove:
     def test_agrees_with_delete_when_y_empty(self):
         h = special("H10")
         assert shrink_remove(h, {3}, set()) == delete_vertices(h, {3})
+        rng = SplitMix64(2024)
+        for _ in range(40):
+            n = 1 + rng.randbelow(12)
+            h = random_host(rng, n, rng.randbelow(9), 4)
+            xs = set(rng.sample(range(n), rng.randbelow(n + 1)))
+            expected = _delete_by_definition(h, xs)
+            assert delete_vertices(h, xs) == expected
+            assert shrink_remove(h, xs, set()) == expected
+
+    def test_delete_rejects_out_of_range(self):
+        for xs in ({4}, {-1}, {0, 9}):
+            with pytest.raises(HypergraphError):
+                delete_vertices(h4(), xs)
 
     def test_rejects_emptied_edge(self):
         with pytest.raises(HypergraphError):
@@ -256,6 +274,72 @@ class TestDualGraph:
         hdeg = degrees(h)
         for i, e in enumerate(h.edges):
             assert deg[i] == sum(1 for v in e if hdeg[v] == 2)
+
+
+def _delete_by_definition(h: Hypergraph, xs: set[int]) -> Hypergraph:
+    """H - X: the edges missing X, on their own vertices, kept in order."""
+    kept = [e for e in h.edges if not xs & set(e)]
+    used = sorted({v for e in kept for v in e})
+    return Hypergraph(len(used), [[used.index(v) for v in e] for e in kept])
+
+
+def _bfs_components(g: Graph) -> list[set[int]]:
+    """Components by breadth-first search from each unseen vertex in order."""
+    nbrs: list[list[int]] = [[] for _ in range(g.n)]
+    for a, b in g.edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    seen: set[int] = set()
+    out = []
+    for s in range(g.n):
+        if s in seen:
+            continue
+        comp, queue = {s}, [s]
+        for v in queue:
+            for w in nbrs[v]:
+                if w not in comp:
+                    comp.add(w)
+                    queue.append(w)
+        seen |= comp
+        out.append(comp)
+    return out
+
+
+GRAPHS = {
+    "isolated": Graph(5, [(1, 3)]),
+    "three": Graph(9, [(0, 4), (4, 8), (1, 5), (1, 3), (2, 6), (2, 7), (6, 7)]),
+    "edgeless": Graph(4, []),
+    "empty": Graph(0, []),
+    "heawood": incidence_graph(projective_plane(2)),
+    "cycle": cycle_graph(6),
+    "K33": complete_bipartite(3, 3),
+}
+
+
+class TestGraphComponents:
+    @pytest.mark.parametrize("name", sorted(GRAPHS))
+    def test_matches_breadth_first_search(self, name):
+        g = GRAPHS[name]
+        expected = _bfs_components(g)
+        assert components(g) == expected
+        assert component_count(g) == len(expected)
+        assert is_connected(g) == (len(expected) <= 1)
+
+    def test_shapes(self):
+        assert components(GRAPHS["isolated"]) == [{0}, {1, 3}, {2}, {4}]
+        assert components(GRAPHS["three"]) == [{0, 4, 8}, {1, 3, 5}, {2, 6, 7}]
+        assert components(GRAPHS["edgeless"]) == [{0}, {1}, {2}, {3}]
+        assert components(GRAPHS["empty"]) == []
+        assert is_connected(GRAPHS["empty"])
+        assert not is_connected(GRAPHS["edgeless"])
+
+    def test_random_graphs(self):
+        rng = SplitMix64(77)
+        for _ in range(30):
+            n = rng.randbelow(15)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph(n, rng.sample(pairs, rng.randbelow(min(len(pairs), 12) + 1)))
+            assert components(g) == _bfs_components(g)
 
 
 class TestComponents:

@@ -414,6 +414,28 @@ def test_item_hosts_reach_failures():
     assert min(failing.values()) >= 3, failing
 
 
+def test_item_o_fails_only_where_item_g_fails():
+    # every minimum transversal meets every edge, so (o) fails only on
+    # pairs in no minimum transversal, i.e. where (g) fails too
+    hosts = ITEM_HOSTS + [(kind, special(kind)) for kind in NAMES]
+    g_passing = 0
+    for name, h in hosts:
+        idx = _TransversalIndex(h)
+        ok_o, _ = _check_property_o(h, idx, degrees(h), _adjacency_masks(h))
+        if all(idx.by_vertex):
+            g_passing += 1
+            assert ok_o, name
+    assert g_passing >= len(NAMES)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5])
+def test_item_o_on_edgeless_hosts_matches_frozen_loop(n):
+    h = Hypergraph(n, [])
+    deg, adj = degrees(h), _adjacency_masks(h)
+    expected = oracle_o(h, OracleIndex(h), deg)
+    assert _check_property_o(h, _TransversalIndex(h), deg, adj) == expected == (True, None)
+
+
 def test_adjacency_masks_match_pairs():
     for name, h in ITEM_HOSTS:
         adj = _adjacency_masks(h)
