@@ -11,6 +11,7 @@ prime, and ``field_tables`` tabulates the arithmetic on codes.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -323,32 +324,73 @@ def random_linear(
     n: int, k: int, max_deg: int, m_target: int, seed: int
 ) -> Hypergraph:
     """Seeded greedy generator of a k-uniform linear hypergraph with
-    maximum degree <= max_deg; stops at m_target edges or when the retry
-    budget runs out, returning whatever was built."""
+    maximum degree <= max_deg.
+
+    Each draw takes k distinct vertices from the open pool (the vertices of
+    degree below max_deg, in increasing order) by the partial Fisher-Yates
+    shuffle of ``SplitMix64.sample``, and keeps them as an edge unless two
+    of them already share a kept edge.  Drawing stops when m_target edges
+    are kept, when the budget of 200 * max(m_target, 1) draws is spent, or
+    when no k open vertices are pairwise unjoined, returning whatever was
+    built.  The last rule never changes the host: the generator is local
+    to the call and every further draw would be rejected.  A draw costs
+    O(k), whatever n is.
+    """
     if k > n or k < 1 or max_deg < 1 or m_target < 0:
         raise AlgebraError("infeasible parameters")
     if k * m_target > max_deg * n:
         raise AlgebraError("degree budget cannot host that many edges")
     rng = SplitMix64(seed)
     deg = [0] * n
+    nbr = [0] * n  # nbr[v]: the vertices sharing a kept edge with v
+    pool = list(range(n))
+    # An open vertex is joined to at most (max_deg - 1)(k - 1) others, so
+    # greedy picking finds k pairwise unjoined open vertices in any pool
+    # larger than this; the exact search runs only at or below it, and
+    # also ends the loop once fewer than k vertices are open.
+    greedy_safe = (k - 1) * ((max_deg - 1) * (k - 1) + 1)
     accepted: list[tuple[int, ...]] = []
-    masks: list[int] = []
     budget = 200 * max(m_target, 1)
     while len(accepted) < m_target and budget > 0:
         budget -= 1
-        pool = [v for v in range(n) if deg[v] < max_deg]
-        if len(pool) < k:
-            break
-        pick = rng.sample(pool, k)
-        cand = tuple(sorted(pick))
+        cand = tuple(sorted(_draw(rng, pool, k)))
         mask = vertex_mask(cand)
-        if any((mask & old).bit_count() > 1 for old in masks):
+        if any(nbr[v] & mask for v in cand):
             continue
         accepted.append(cand)
-        masks.append(mask)
         for v in cand:
+            nbr[v] |= mask ^ (1 << v)
             deg[v] += 1
+            if deg[v] == max_deg:
+                del pool[bisect_left(pool, v)]
+        if len(pool) <= greedy_safe and not _has_unjoined(vertex_mask(pool), nbr, k):
+            break
     return Hypergraph(n, accepted)
+
+
+def _draw(rng: SplitMix64, pool: list[int], k: int) -> list[int]:
+    """``rng.sample(pool, k)`` with the same random calls and result,
+    keeping only the moved slots instead of copying the pool."""
+    moved: dict[int, int] = {}
+    picks = []
+    for i in range(k):
+        j = i + rng.randbelow(len(pool) - i)
+        picks.append(moved.get(j, pool[j]))
+        moved[j] = moved.get(i, pool[i])
+    return picks
+
+
+def _has_unjoined(cands: int, nbr: list[int], k: int) -> bool:
+    """Whether the mask ``cands`` holds k vertices no two of which are
+    joined in ``nbr``."""
+    if k == 0:
+        return True
+    while cands.bit_count() >= k:
+        low = cands & -cands
+        cands ^= low
+        if _has_unjoined(cands & ~nbr[low.bit_length() - 1], nbr, k - 1):
+            return True
+    return False
 
 
 def heawood() -> Graph:

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
@@ -72,6 +73,19 @@ def test_gen_random_deterministic(tmp_path, capsys):
     _, out1, _ = run(capsys, *args)
     _, out2, _ = run(capsys, *args)
     assert out1 == out2
+
+
+def test_gen_random_large_pinned(tmp_path, capsys):
+    """The n = 2000 file keeps the bytes of the draw-every-time generator."""
+    path = tmp_path / "r2000.hg"
+    code, payload, _ = run_json(
+        capsys, "gen", "--family", "random", "--n", "2000", "--k", "4",
+        "--max-deg", "3", "--m-target", "1400", "--seed", "1", "--out", str(path),
+    )
+    assert code == EXIT_OK
+    assert (payload["n"], payload["m"], payload["manifest"]["seed"]) == (2000, 1400, 1)
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "29dab9a7c86fb2cca68f2c2d03a87b9b8d267284424367021fbbd6f3b304f31b"
 
 
 def test_prob_envelope(capsys):
