@@ -327,14 +327,17 @@ def random_linear(
     maximum degree <= max_deg.
 
     Each draw takes k distinct vertices from the open pool (the vertices of
-    degree below max_deg, in increasing order) by the partial Fisher-Yates
-    shuffle of ``SplitMix64.sample``, and keeps them as an edge unless two
-    of them already share a kept edge.  Drawing stops when m_target edges
-    are kept, when the budget of 200 * max(m_target, 1) draws is spent, or
-    when no k open vertices are pairwise unjoined, returning whatever was
-    built.  The last rule never changes the host: the generator is local
-    to the call and every further draw would be rejected.  A draw costs
-    O(k), whatever n is.
+    degree below max_deg, in increasing order) with ``SplitMix64.sample``
+    and keeps them as an edge unless two of them already share a kept
+    edge.  Drawing stops when m_target edges are kept, when the budget of
+    200 * max(m_target, 1) draws is spent, or when no k open vertices are
+    pairwise unjoined, returning whatever was built.  The last rule never
+    changes the host: the generator is local to the call and every further
+    draw would be rejected.  It is applied only when the search for such k
+    vertices ends within a fixed node budget; otherwise drawing goes on,
+    which cannot change the host either.  A draw neither rebuilds the pool
+    nor scans the kept edges; it copies the pool and tests k neighbour
+    masks.
     """
     if k > n or k < 1 or max_deg < 1 or m_target < 0:
         raise AlgebraError("infeasible parameters")
@@ -353,7 +356,7 @@ def random_linear(
     budget = 200 * max(m_target, 1)
     while len(accepted) < m_target and budget > 0:
         budget -= 1
-        cand = tuple(sorted(_draw(rng, pool, k)))
+        cand = tuple(sorted(rng.sample(pool, k)))
         mask = vertex_mask(cand)
         if any(nbr[v] & mask for v in cand):
             continue
@@ -363,33 +366,38 @@ def random_linear(
             deg[v] += 1
             if deg[v] == max_deg:
                 del pool[bisect_left(pool, v)]
-        if len(pool) <= greedy_safe and not _has_unjoined(vertex_mask(pool), nbr, k):
+        if len(pool) <= greedy_safe and _has_unjoined(vertex_mask(pool), nbr, k) is False:
             break
     return Hypergraph(n, accepted)
 
 
-def _draw(rng: SplitMix64, pool: list[int], k: int) -> list[int]:
-    """``rng.sample(pool, k)`` with the same random calls and result,
-    keeping only the moved slots instead of copying the pool."""
-    moved: dict[int, int] = {}
-    picks = []
-    for i in range(k):
-        j = i + rng.randbelow(len(pool) - i)
-        picks.append(moved.get(j, pool[j]))
-        moved[j] = moved.get(i, pool[i])
-    return picks
+# With max_deg = 2 the open vertices form one clique per kept edge, where
+# the search is exponential in the number of cliques; past this many nodes
+# it gives up.  The largest search in the benchmark builds takes 41 nodes.
+_SEARCH_NODES = 1024
 
 
-def _has_unjoined(cands: int, nbr: list[int], k: int) -> bool:
-    """Whether the mask ``cands`` holds k vertices no two of which are
-    joined in ``nbr``."""
-    if k == 0:
-        return True
-    while cands.bit_count() >= k:
-        low = cands & -cands
-        cands ^= low
-        if _has_unjoined(cands & ~nbr[low.bit_length() - 1], nbr, k - 1):
+def _has_unjoined(cands: int, nbr: list[int], k: int) -> Optional[bool]:
+    """Whether the mask ``cands`` holds k >= 1 vertices no two of which are
+    joined in ``nbr``, or None if that takes more than ``_SEARCH_NODES``
+    search nodes to tell."""
+    # stack[-1] holds the candidates for the len(stack)-th vertex, each
+    # lower entry those left at its level after the vertices tried there.
+    stack = [cands]
+    nodes = _SEARCH_NODES
+    while stack:
+        top = stack[-1]
+        if top.bit_count() <= k - len(stack):
+            stack.pop()
+            continue
+        if nodes == 0:
+            return None
+        nodes -= 1
+        low = top & -top
+        stack[-1] = top ^ low
+        if len(stack) == k:
             return True
+        stack.append((top ^ low) & ~nbr[low.bit_length() - 1])
     return False
 
 

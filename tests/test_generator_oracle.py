@@ -12,9 +12,11 @@ output independently of the frozen copy.
 from __future__ import annotations
 
 import hashlib
+import time
 
 import pytest
 
+from linhyp import algebra
 from linhyp.algebra import AlgebraError, random_linear
 from linhyp.core import Hypergraph, vertex_mask
 from linhyp.hgio import dumps
@@ -140,6 +142,45 @@ def test_k1_repeats_singletons():
 @pytest.mark.parametrize("args", [(2000, 4, 3, 1400, 1), (2000, 3, 2, 1300, 5)])
 def test_large_n_matches_frozen_loop(args):
     assert random_linear(*args) == oracle_random_linear(*args)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_k_above_recursion_limit_matches_frozen_loop(seed):
+    # the search for k pairwise unjoined vertices goes k levels deep
+    args = (2200, 1050, 2, 1, seed)
+    assert random_linear(*args) == oracle_random_linear(*args)
+
+
+def test_large_k_max_deg_2_is_quick():
+    # With max_deg = 2 the open vertices form one clique per kept edge,
+    # the slowest shape for the search; its node budget keeps each call
+    # to a few draws' worth of work.
+    start = time.perf_counter()
+    hosts = [random_linear(150, 12, 2, 25, seed) for seed in range(3)]
+    assert time.perf_counter() - start < 5.0
+    for seed, h in enumerate(hosts):
+        assert h == oracle_random_linear(150, 12, 2, 25, seed)
+
+
+def test_search_gives_up_on_disjoint_cliques():
+    groups, size = 11, 9
+    nbr = [0] * (groups * size)
+    for g in range(groups):
+        clique = ((1 << size) - 1) << (g * size)
+        for v in range(g * size, (g + 1) * size):
+            nbr[v] = clique ^ (1 << v)
+    everything = (1 << len(nbr)) - 1
+    assert algebra._has_unjoined(everything, nbr, 12) is None
+    assert algebra._has_unjoined(everything, nbr, 11) is True
+    assert algebra._has_unjoined(everything >> size * 8, nbr, 4) is False
+
+
+def test_exhausted_search_keeps_drawing(monkeypatch):
+    # A search that runs out of nodes must not end the loop.
+    monkeypatch.setattr(algebra, "_SEARCH_NODES", 1)
+    for n, k, max_deg, m_target, seed in sweep_tuples(300):
+        assert random_linear(n, k, max_deg, m_target, seed) == oracle_random_linear(
+            n, k, max_deg, m_target, seed), (n, k, max_deg, m_target, seed)
 
 
 # Recorded with the draw-every-time loop; (14, 4, 2, 7, 0) stops one edge
