@@ -89,9 +89,6 @@ class Hypergraph:
     def max_degree(self) -> int:
         return max(self.degrees(), default=0)
 
-    def min_degree(self) -> int:
-        return min(self.degrees(), default=0)
-
     def edge_masks(self) -> list[int]:
         """Edges as vertex bitmasks (bit v set iff v in edge)."""
         return [vertex_mask(e) for e in self.edges]

@@ -7,13 +7,14 @@ Host vertices may carry additional external edges; those land in E*(X).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from operator import ge, itemgetter
 from typing import Callable, Optional
 
 from .catalog import DEFIC_WEIGHT, NAMES, TAU_OF_CLASS, order_class, special
 from .core import (
+    CertificateError,
     Graph,
     Hypergraph,
     HypergraphError,
@@ -87,7 +88,8 @@ class _Step:
 
     edge: int
     degrees: tuple[int, ...]  # pattern degrees of the edge's vertices, descending
-    meets: tuple[int, ...]  # |p & p_t| for the pattern edge p_t of each earlier step t
+    apart: tuple[int, ...]  # earlier steps whose pattern edge misses this one
+    meets: tuple[tuple[int, int], ...]  # (t, |p & p_t|) for the others, p_t step t's edge
     via_vertex: int  # a vertex of this edge placed at an earlier step, or -1
     via_step: int  # else an earlier step whose edge meets this one
     place: tuple[tuple[int, int], ...]  # (v, t): v's image is shared with step t's image
@@ -101,9 +103,47 @@ class _Plan:
     n: int
     steps: tuple[_Step, ...]
     leaves: tuple[tuple[int, tuple[int, ...]], ...]  # (edge, its degree-1 vertices)
+    crossings: tuple[tuple[int, int, int], ...]  # (v, a, b): v of degree >= 2 is in a and b
     layout: tuple[int, ...]  # representative key: vertex v is v, edge e is n + e
     vertex_at: tuple[int, ...]  # position of each vertex in the key
     edge_at: tuple[int, ...]  # position of each edge in the key
+    group: tuple[tuple[int, ...], ...] = ()  # edge automorphisms: edge e goes to g[e]
+    after: tuple[tuple[int, ...], ...] = ()  # per step: edges whose image must be smaller
+
+
+@dataclass(frozen=True)
+class _Index:
+    """Per-host data for :func:`find_embeddings`, shared by every kind."""
+
+    masks: list[int]  # edge vertex masks
+    edge_degrees: list[tuple[int, ...]]  # vertex degrees of each edge, descending
+    incidence: list[int]  # vertex -> mask of the edges containing it
+    fits: dict[tuple[int, ...], int]  # pattern degrees -> mask of the edges that fit
+
+    def fit(self, degrees: tuple[int, ...]) -> int:
+        """Mask of the host edges whose sorted degrees are nowhere below ``degrees``."""
+        mask = self.fits.get(degrees)
+        if mask is None:
+            mask = self.fits[degrees] = sum(
+                1 << i
+                for i, hd in enumerate(self.edge_degrees)
+                if len(hd) == len(degrees) and all(map(ge, hd, degrees))
+            )
+        return mask
+
+
+def _index(host: Hypergraph) -> _Index:
+    deg = host.degrees()
+    return _Index(
+        host.edge_masks(),
+        [tuple(sorted((deg[v] for v in e), reverse=True)) for e in host.edges],
+        host.incidence_masks(),
+        {},
+    )
+
+
+# the catalog kinds of one host are searched back to back
+_host_index = lru_cache(maxsize=1)(_index)
 
 
 @lru_cache(maxsize=None)
@@ -111,7 +151,7 @@ def _plan(kind: str) -> _Plan:
     pattern = special(kind)
     if not is_linear(pattern):
         raise HypergraphError(f"edge-level search needs a linear pattern, not {kind}")
-    n, edges = pattern.n, [set(e) for e in pattern.edges]
+    n, m, edges = pattern.n, pattern.m, [set(e) for e in pattern.edges]
     deg = pattern.degrees()
 
     # search order: most-constrained first (most vertices already mapped)
@@ -144,7 +184,8 @@ def _plan(kind: str) -> _Plan:
             _Step(
                 e,
                 tuple(sorted((deg[v] for v in edges[e]), reverse=True)),
-                meets,
+                tuple(t for t, k in enumerate(meets) if not k),
+                tuple((t, k) for t, k in enumerate(meets) if k),
                 placed_before[0] if placed_before else -1,
                 via_step,
                 tuple(place),
@@ -154,6 +195,9 @@ def _plan(kind: str) -> _Plan:
     leaves = tuple(
         (e, tuple(v for v in sorted(edges[e]) if deg[v] == 1))
         for e in range(len(edges))
+    )
+    crossings = tuple(
+        (v, *[e for e in range(m) if v in edges[e]][:2]) for v in range(n) if deg[v] >= 2
     )
 
     # The representative of an edge set is the least key, where the key
@@ -169,14 +213,142 @@ def _plan(kind: str) -> _Plan:
         layout.extend(sorted(edges[nxt] - seen))
         seen |= edges[nxt]
         remaining.discard(nxt)
-    return _Plan(
+    plan = _Plan(
         n,
         tuple(steps),
         leaves,
+        crossings,
         tuple(layout),
         tuple(layout.index(v) for v in range(n)),
-        tuple(layout.index(n + e) for e in range(len(edges))),
+        tuple(layout.index(n + e) for e in range(m)),
+        after=((),) * m,
     )
+
+    # The edge automorphisms are the mappings of the pattern onto itself.
+    # The search on the pattern keeps the first mapping of each coset of the
+    # stabilizer chain along the steps: ``cosets[s]`` holds those that fix
+    # the edges of the earlier steps but move that of step s, one for each
+    # image of it.  Every automorphism is a product t_0 t_1 ... of one
+    # mapping of each step (or the identity).
+    cosets: list[list[tuple[int, ...]]] = [[] for _ in steps]
+
+    def representative(values: list[int], used: int, placed: int) -> int:
+        g = tuple(values[n:])
+        for s, step in enumerate(steps):
+            if g[step.edge] != step.edge:
+                cosets[s].append(g)
+                return s
+        return len(steps) - 1
+
+    _search(_index(pattern), plan, representative)
+    group = [tuple(range(m))]
+    for level in reversed(cosets):
+        group += [itemgetter(*g)(t) for t in level for g in group]
+    # The products hold the identity and are generated by the mappings
+    # found, so they form a group iff right multiplication by each mapping
+    # found keeps them inside.
+    elements = set(group)
+    times = [itemgetter(*t) for level in cosets for t in level]  # g -> g t
+    if tuple(range(m)) not in elements or any(
+        right(g) not in elements for right in times for g in group
+    ):
+        raise CertificateError(f"the automorphisms found for {kind} are not a group")
+
+    # Grochow-Kellis conditions: along the steps, the edge of each step takes
+    # the least image over its orbit under the automorphisms fixing the edges
+    # of the earlier steps.  Those fix every earlier edge, so each condition
+    # bounds a later step from below.  A bound that follows from the others
+    # through an earlier step's bounds is dropped.
+    step_of = {step.edge: s for s, step in enumerate(steps)}
+    bounds: list[set[int]] = [set() for _ in steps]
+    for step, level in zip(steps, cosets):
+        for t in level:
+            bounds[step_of[t[step.edge]]].add(step.edge)
+    below: list[set[int]] = []  # edges whose image lies below each step's
+    after = []
+    for bound in bounds:
+        implied = set().union(*(below[step_of[e]] for e in bound))
+        below.append(bound | implied)
+        after.append(tuple(sorted(bound - implied)))
+    return replace(plan, group=tuple(group), after=tuple(after))
+
+
+def _search(
+    index: _Index, plan: _Plan, leaf: Callable[[list[int], int, int], int]
+) -> None:
+    """Call ``leaf(values, used, placed)`` at each mapping of the plan's
+    pattern into the indexed host that meets the plan's conditions.
+
+    ``values`` holds the image of vertex v at v and of edge e at n + e, with
+    degree-1 vertices left unset; ``used`` is the mask of the image edges and
+    ``placed`` the mask of the images of the degree >= 2 vertices.  The leaf
+    returns the step whose next candidate the search goes on with: the last
+    step, or an earlier one to skip the rest of that step's current subtree.
+    """
+    n, steps, after = plan.n, plan.steps, plan.after
+    masks, incidence = index.masks, index.incidence
+    fit = [index.fit(step.degrees) for step in steps]
+    if not all(fit):
+        return
+    values = [0] * len(plan.layout)  # vertex images, then edge images
+    step_masks = [0] * len(steps)
+
+    def extend(s: int, used: int, placed: int) -> int:
+        if s == len(steps):
+            return leaf(values, used, placed)
+        step = steps[s]
+        allowed = fit[s] & ~used
+        for e in after[s]:
+            allowed &= -2 << values[n + e]
+        if not allowed:
+            return s
+        apart = 0  # no vertex of the image may lie in these
+        for t in step.apart:
+            apart |= step_masks[t]
+        inside = 0  # and these must all lie in it
+        for v in step.inside:
+            inside |= 1 << values[v]
+        if s == 0:
+            cands = allowed
+        elif step.via_vertex >= 0:
+            cands = incidence[values[step.via_vertex]] & allowed
+        else:
+            cands = 0
+            free = step_masks[step.via_step] & ~placed
+            while free:
+                low = free & -free
+                cands |= incidence[low.bit_length() - 1]
+                free ^= low
+            cands &= allowed
+        while cands:
+            edge = cands & -cands
+            cands ^= edge
+            hi = edge.bit_length() - 1
+            hm = masks[hi]
+            if hm & apart:
+                continue
+            for t, k in step.meets:
+                if (hm & step_masks[t]).bit_count() != k:
+                    break
+            else:
+                if hm & inside != inside:
+                    continue
+                now = placed
+                for v, t in step.place:
+                    x = hm & step_masks[t]  # one vertex: the edges meet once
+                    if now & x:
+                        break
+                    values[v] = x.bit_length() - 1
+                    now |= x
+                else:
+                    values[n + step.edge] = hi
+                    step_masks[s] = hm
+                    back = extend(s + 1, used | edge, now)
+                    if back < s:
+                        return back
+        return s
+
+    extend(0, 0, 0)
 
 
 def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
@@ -192,13 +364,24 @@ def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
     no image of it and is never tried.  A pattern vertex of degree >= 2 is
     placed at the one vertex its edges' images share, and placed images are
     distinct.  Degree-1 vertices take the leftover slots of their edge's
-    image in increasing order.
+    image in increasing order.  The host's index is built once and shared
+    by consecutive calls on the same host.
 
-    Each copy is reported once, by its representative: of all mappings onto
-    the same edge set, the one whose key is least.  The key lists, over the
-    pattern edges in the order "next = least index touching the mapped
-    region", the host edge index and then the images of the pattern
-    vertices that edge newly maps.  The list is sorted by ``edge_indices``.
+    The mappings onto one edge set are any one of them composed with each
+    edge automorphism of the pattern (the group is found by the same search,
+    run on the pattern).  Symmetry-breaking conditions (Grochow and Kellis,
+    RECOMB 2007) let exactly one of them through: along the step order, an
+    edge in the orbit of an earlier step's edge, under the automorphisms
+    fixing the edges of the steps before that one, must take a larger host
+    edge index than that edge's image.  A second mapping reaching an edge
+    set raises ``CertificateError``, so this is checked on every call.
+
+    Each copy is reported by its representative: of the mapping found
+    composed with each automorphism, the one whose key is least.  The key
+    lists, over the pattern edges in the order "next = least index touching
+    the mapped region", the host edge index and then the images of the
+    pattern vertices that edge newly maps.  The list is sorted by
+    ``edge_indices``.
     """
     pattern = special(kind)
     if host.n < pattern.n or host.m < pattern.m:
@@ -209,79 +392,34 @@ def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
             Embedding("H4", tuple(e), (i,)) for i, e in enumerate(host.edges)
         ]
     plan = _plan(kind)
-    n, steps, leaves = plan.n, plan.steps, plan.leaves
-    masks = host.edge_masks()
-    deg = host.degrees()
-    host_degrees = [sorted((deg[v] for v in e), reverse=True) for e in host.edges]
-    fits: dict[tuple[int, ...], int] = {}  # pattern degrees -> host edge bitmask
-    for step in steps:
-        if step.degrees not in fits:
-            fits[step.degrees] = sum(
-                1 << i
-                for i, hd in enumerate(host_degrees)
-                if len(hd) == len(step.degrees) and all(map(ge, hd, step.degrees))
-            )
-    fit = [fits[step.degrees] for step in steps]
-    if not all(fit):
-        return []
-    incident: list[list[int]] = [[] for _ in range(host.n)]
-    for i, e in enumerate(host.edges):
-        for v in e:
-            incident[v].append(i)
-    values = [0] * len(plan.layout)  # vertex images, then edge images
-    step_masks = [0] * len(steps)
-    key_of = itemgetter(*plan.layout)
+    index = _host_index(host)
+    n, masks = plan.n, index.masks
+    crossings, leaves, key_of = plan.crossings, plan.leaves, itemgetter(*plan.layout)
+    last = len(plan.steps) - 1
+    image = [0] * len(plan.layout)  # a mapping composed with an automorphism
     best: dict[int, tuple[int, ...]] = {}  # edge-set bitmask -> least key
 
-    def extend(s: int, used: int, placed: int) -> None:
-        if s == len(steps):
+    def least_key(values: list[int], used: int, placed: int) -> int:
+        if used in best:
+            raise CertificateError(f"two mappings of {kind} reach edge set {members(used)}")
+        edges = values[n:]
+        keys = []
+        for g in plan.group:
+            mapped = [edges[e] for e in g]  # edge e goes where g[e] went
+            image[n:] = mapped
+            for v, a, b in crossings:
+                image[v] = (masks[mapped[a]] & masks[mapped[b]]).bit_length() - 1
             for e, free_vertices in leaves:
-                slots = masks[values[n + e]] & ~placed
+                slots = masks[mapped[e]] & ~placed
                 for v in free_vertices:
                     low = slots & -slots
-                    values[v] = low.bit_length() - 1
+                    image[v] = low.bit_length() - 1
                     slots ^= low
-            key = key_of(values)
-            old = best.get(used)
-            if old is None or key < old:
-                best[used] = key
-            return
-        step = steps[s]
-        allowed = fit[s] & ~used
-        if s == 0:
-            cands = range(host.m)
-        elif step.via_vertex >= 0:
-            cands = incident[values[step.via_vertex]]
-        else:
-            cands = set()
-            free = step_masks[step.via_step] & ~placed
-            while free:
-                low = free & -free
-                cands.update(incident[low.bit_length() - 1])
-                free ^= low
-        for hi in cands:
-            if not allowed >> hi & 1:
-                continue
-            hm = masks[hi]
-            for t, k in enumerate(step.meets):
-                if (hm & step_masks[t]).bit_count() != k:
-                    break
-            else:
-                if not all(hm >> values[v] & 1 for v in step.inside):
-                    continue
-                now = placed
-                for v, t in step.place:
-                    x = hm & step_masks[t]  # one vertex: the edges meet once
-                    if now & x:
-                        break
-                    values[v] = x.bit_length() - 1
-                    now |= x
-                else:
-                    values[n + step.edge] = hi
-                    step_masks[s] = hm
-                    extend(s + 1, used | 1 << hi, now)
+            keys.append(key_of(image))
+        best[used] = min(keys)
+        return last
 
-    extend(0, 0, 0)
+    _search(index, plan, least_key)
     found = [
         Embedding(
             kind,

@@ -1,5 +1,7 @@
 """Certificate re-checks raise ``CertificateError``, also under ``python -O``."""
 
+import dataclasses
+import importlib
 import math
 import os
 import subprocess
@@ -11,6 +13,7 @@ import pytest
 from linhyp import matching, probability
 from linhyp.catalog import special
 from linhyp.core import CertificateError, Graph, complete_bipartite, complete_graph
+from linhyp.deficiency import find_embeddings
 from linhyp.matching import (
     Matching,
     hall_violator,
@@ -22,6 +25,7 @@ from linhyp.probability import claim_c3_envelope
 from linhyp.solver import TransversalResult, tau
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
+deficiency_module = importlib.import_module("linhyp.deficiency")
 
 
 def test_tau_witness_failing_its_check_raises(monkeypatch):
@@ -61,6 +65,43 @@ def test_envelope_maximum_not_below_ln5_raises(monkeypatch):
     monkeypatch.setattr(probability, "_golden_section_max", lambda f, a, b: (2.0, math.log(5)))
     with pytest.raises(CertificateError):
         claim_c3_envelope()
+
+
+@pytest.fixture
+def fresh_plans():
+    deficiency_module._plan.cache_clear()
+    yield
+    deficiency_module._plan.cache_clear()
+
+
+def test_automorphisms_that_are_no_group_raise(monkeypatch, fresh_plans):
+    # Stop the search on the pattern after three mappings: the identity, the
+    # swap of the edges of H10's last two steps and one mapping that moves
+    # the third step's edge.  Their four products fix the first two edges, so
+    # they lie in a group of order 6, and are no group themselves.
+    search = deficiency_module._search
+
+    def truncated(index, plan, leaf):
+        seen = []
+
+        def first_three(values, used, placed):
+            seen.append(leaf(values, used, placed))
+            return seen[-1] if len(seen) < 3 else -1
+
+        search(index, plan, first_three)
+
+    monkeypatch.setattr(deficiency_module, "_search", truncated)
+    with pytest.raises(CertificateError, match="not a group"):
+        deficiency_module._plan("H10")
+
+
+def test_two_mappings_onto_one_copy_raise(monkeypatch):
+    # without its symmetry-breaking conditions, H10 is reached 120 times
+    plan = deficiency_module._plan("H10")
+    bare = dataclasses.replace(plan, after=((),) * len(plan.steps))
+    monkeypatch.setattr(deficiency_module, "_plan", lambda kind: bare)
+    with pytest.raises(CertificateError, match="two mappings"):
+        find_embeddings(special("H10"), "H10")
 
 
 def _run_under_O(body: str) -> str:
@@ -123,3 +164,32 @@ def test_matching_check_rejects_under_python_O():
         "print([Matching(p).check(g) for p in cases])\n"
     )
     assert _run_under_O(script) == "[False, False, False, True]"
+
+
+def test_embedding_checks_survive_python_O():
+    script = (
+        "import dataclasses, importlib\n"
+        "from linhyp import CertificateError, find_embeddings, special\n"
+        "module = importlib.import_module('linhyp.deficiency')\n"
+        "plan_of = module._plan\n"
+        "plan = plan_of('H10')\n"
+        "module._plan = lambda kind: dataclasses.replace(plan, after=((),) * 5)\n"
+        "try:\n"
+        "    find_embeddings(special('H10'), 'H10')\n"
+        "except CertificateError as e:\n"
+        "    print(str(e)[:12])\n"
+        "plan_of.cache_clear()\n"
+        "search = module._search\n"
+        "def truncated(index, plan, leaf):\n"
+        "    seen = []\n"
+        "    def first_three(values, used, placed):\n"
+        "        seen.append(leaf(values, used, placed))\n"
+        "        return seen[-1] if len(seen) < 3 else -1\n"
+        "    search(index, plan, first_three)\n"
+        "module._search = truncated\n"
+        "try:\n"
+        "    plan_of('H10')\n"
+        "except CertificateError as e:\n"
+        "    print(str(e)[-11:])\n"
+    )
+    assert _run_under_O(script) == "two mappings\nnot a group"

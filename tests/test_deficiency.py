@@ -10,6 +10,7 @@ from linhyp.catalog import DEFIC_WEIGHT, NAMES, SHAPES, order_class, special
 from linhyp.core import Hypergraph, component_count
 from linhyp.deficiency import (
     SpecialSet,
+    _plan,
     check_key_theorem,
     check_lemma_specialset,
     defic_of_set,
@@ -75,6 +76,33 @@ class TestFindEmbeddings:
 
     def test_too_small_host(self):
         assert find_embeddings(special("H4"), "H10") == []
+
+    def test_edge_automorphism_group_orders(self):
+        orders = [len(_plan(kind).group) for kind in NAMES if kind != "H4"]
+        assert orders == [120, 12, 4, 36, 6, 8, 48, 14, 8, 72, 12, 8, 48, 8]
+
+    def test_conditions_bound_later_steps_by_their_orbits(self):
+        def closure(bounds, edges):
+            below = {}
+            for e in edges:
+                below[e] = set(bounds[e]).union(*(below[f] for f in bounds[e]))
+            return below
+
+        for kind in NAMES:
+            if kind == "H4":
+                continue
+            plan = _plan(kind)
+            edges = [step.edge for step in plan.steps]
+            orbit_bounds = {e: set() for e in edges}
+            stabilizer = plan.group
+            for e in edges:
+                for f in {g[e] for g in stabilizer} - {e}:
+                    orbit_bounds[f].add(e)
+                stabilizer = [g for g in stabilizer if g[e] == e]
+            assert stabilizer == [tuple(range(len(edges)))], kind
+            kept = dict(zip(edges, plan.after))
+            assert all(set(kept[e]) <= orbit_bounds[e] for e in edges), kind
+            assert closure(kept, edges) == closure(orbit_bounds, edges), kind
 
 
 class TestEstar:

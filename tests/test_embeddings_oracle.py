@@ -129,7 +129,20 @@ BRIDGED = [
     ("bridged-H11-H10-H4", bridged(("H11", "H10", "H4"), 1, 7)),
     ("bridged-H14_2-H10", bridged(("H14_2", "H10"), 1, 8)),
 ]
-CORPUS = CATALOG + RESIDUALS + RANDOM + NONLINEAR + BRIDGED
+# relabelled copies move the least key away from the catalog's own labels
+RELABELLED = [
+    (f"catalog-{k}-relabel-{seed}", relabel(special(k), seed))
+    for k in NAMES
+    if k != "H4"
+    for seed in (1, 2, 3)
+]
+# two copies of a kind with a large automorphism group: most of the mappings
+# onto each copy are pruned by the symmetry-breaking conditions
+TWINS = [
+    (f"pair-{k}", bridged((k, k), 2, seed))
+    for seed, k in enumerate(("H10", "H14_2", "H14_5", "H21_2", "H21_5"), 11)
+]
+CORPUS = CATALOG + RESIDUALS + RANDOM + NONLINEAR + BRIDGED + RELABELLED + TWINS
 
 
 @pytest.mark.parametrize("name,host", CORPUS, ids=[name for name, _ in CORPUS])
