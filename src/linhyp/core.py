@@ -9,6 +9,7 @@ them.  All operations are pure functions returning new values.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -107,12 +108,15 @@ class Hypergraph:
 class Graph:
     """A simple graph; optionally carries a bipartition covering ``[0, n)``.
 
-    ``edges`` holds each edge once as a pair ``(a, b)`` with ``a < b``, in
-    sorted order.
+    Stored as adjacency only: ``adj[v]`` is the increasing tuple of the
+    neighbours of ``v``.  ``edges`` derives each edge once as a pair
+    ``(a, b)`` with ``a < b``, in sorted order, on every access.  Two graphs
+    are equal, and hash alike, iff they have the same ``n``, edge set and
+    bipartition.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
+    adj: tuple[tuple[int, ...], ...]
     bipartition: Optional[tuple[frozenset[int], frozenset[int]]] = field(default=None)
 
     def __init__(
@@ -123,62 +127,64 @@ class Graph:
     ):
         if n < 0:
             raise HypergraphError("vertex count must be non-negative")
-        canon = set()
+        nbrs: list[set[int]] = [set() for _ in range(n)]
         for a, b in edges:
             if a == b:
                 raise HypergraphError(f"loop at vertex {a}")
             if not (0 <= a < n and 0 <= b < n):
                 raise HypergraphError(f"vertex id out of range in edge ({a},{b})")
-            canon.add((min(a, b), max(a, b)))
+            nbrs[a].add(b)
+            nbrs[b].add(a)
         bip = None
         if bipartition is not None:
             left, right = frozenset(bipartition[0]), frozenset(bipartition[1])
             if left & right or left | right != frozenset(range(n)):
                 raise HypergraphError("bipartition must partition the vertex set")
-            for a, b in canon:
-                if (a in left) == (b in left):
-                    raise HypergraphError(f"edge ({a},{b}) does not cross bipartition")
+            for a, nb in enumerate(nbrs):
+                same = nb & (left if a in left else right)
+                if same:
+                    raise HypergraphError(f"edge ({a},{min(same)}) does not cross bipartition")
             bip = (left, right)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "edges", tuple(sorted(canon)))
+        object.__setattr__(self, "adj", tuple([tuple(sorted(nb)) for nb in nbrs]))
         object.__setattr__(self, "bipartition", bip)
 
     @classmethod
     def _trusted(
         cls,
         n: int,
-        edges: tuple[tuple[int, int], ...],
-        bipartition: tuple[frozenset[int], frozenset[int]],
+        adj: tuple[tuple[int, ...], ...],
+        bipartition: Optional[tuple[frozenset[int], frozenset[int]]],
     ) -> Graph:
-        """A bipartite Graph from parts already in canonical form, unchecked.
+        """A Graph from adjacency already in canonical form, unchecked.
 
-        ``edges`` must be a sorted, duplicate-free tuple of pairs ``(a, b)``
-        with ``0 <= a < b < n``, and ``bipartition`` two frozensets that
-        partition ``range(n)`` and that every edge crosses.
+        ``adj`` must hold ``n`` increasing tuples of vertex ids in ``[0, n)``,
+        with ``b`` in ``adj[a]`` iff ``a`` in ``adj[b]`` and no ``a`` in
+        ``adj[a]``; ``bipartition`` is None or two frozensets that partition
+        ``range(n)`` and that every edge crosses.
         """
         g = object.__new__(cls)
         object.__setattr__(g, "n", n)
-        object.__setattr__(g, "edges", edges)
+        object.__setattr__(g, "adj", adj)
         object.__setattr__(g, "bipartition", bipartition)
         return g
 
     @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (a, b) for a, nb in enumerate(self.adj) for b in nb[bisect_right(nb, a):]
+        )
+
+    @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     def degrees(self) -> list[int]:
-        d = [0] * self.n
-        for a, b in self.edges:
-            d[a] += 1
-            d[b] += 1
-        return d
+        return [len(nb) for nb in self.adj]
 
     def adjacency(self) -> list[set[int]]:
-        adj: list[set[int]] = [set() for _ in range(self.n)]
-        for a, b in self.edges:
-            adj[a].add(b)
-            adj[b].add(a)
-        return adj
+        """Each vertex's neighbours as a fresh set."""
+        return [set(nb) for nb in self.adj]
 
 
 def is_k_uniform(h: Hypergraph, k: int) -> bool:
@@ -190,18 +196,20 @@ def is_linear(h: Hypergraph) -> bool:
     """True iff every pair of distinct edges (by index) shares at most one vertex.
 
     A duplicated edge of size >= 2 therefore makes the hypergraph non-linear.
-    For each edge, the other edges at each of its vertices are edge bitmasks;
-    two of them overlap iff some other edge meets this one twice.
+    Other edges meet edge e sum(deg v - 1) times over its vertices v, so the
+    union of those vertices' incidence masks holds e and exactly that many
+    other edges iff no other edge meets e twice.
     """
     inc = h.incidence_masks()
-    for i, e in enumerate(h.edges):
-        others = ~(1 << i)
-        seen = 0
+    deg = [mask.bit_count() for mask in inc]
+    for e in h.edges:
+        union = 0
+        others = -len(e)
         for v in e:
-            at_v = inc[v] & others
-            if at_v & seen:
-                return False
-            seen |= at_v
+            union |= inc[v]
+            others += deg[v]
+        if union.bit_count() - 1 != others:
+            return False
     return True
 
 
@@ -256,17 +264,19 @@ def complement_hypergraph(h: Hypergraph) -> Hypergraph:
 def incidence_graph(h: Hypergraph) -> Graph:
     """Bipartite incidence graph: vertices 0..n-1, then one node per edge.
 
-    The pairs ``(v, n + i)`` are listed by vertex and, at each vertex, by
-    edge index, which is already the canonical order, so no check is needed.
+    Vertex v is adjacent to the nodes ``n + i`` of its edges, in increasing
+    edge index, and node ``n + i`` to the vertices of edge i, whose tuple is
+    shared with ``h`` rather than copied.  That is already canonical, so no
+    check is needed.
     """
     n = h.n
-    at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    at: list[list[int]] = [[] for _ in range(n)]
     for node, e in enumerate(h.edges, start=n):
         for v in e:
-            at[v].append((v, node))
+            at[v].append(node)
     return Graph._trusted(
         n + h.m,
-        tuple(itertools.chain.from_iterable(at)),
+        tuple(map(tuple, at)) + h.edges,
         (frozenset(range(n)), frozenset(range(n, n + h.m))),
     )
 
@@ -276,22 +286,19 @@ def bipartite_complement(g: Graph) -> Graph:
     if g.bipartition is None:
         raise HypergraphError("graph carries no bipartition")
     left, right = g.bipartition
-    present = set(g.edges)
-    edges = [
-        (a, b)
-        for a in sorted(left)
-        for b in sorted(right)
-        if (min(a, b), max(a, b)) not in present
-    ]
+    right_sorted = sorted(right)
+    edges = []
+    for a in sorted(left):
+        present = set(g.adj[a])
+        edges += [(a, b) for b in right_sorted if b not in present]
     return Graph(g.n, edges, bipartition=(left, right))
 
 
 def onh(g: Graph) -> Hypergraph:
     """Open neighborhood hypergraph: one edge N(x) per vertex x of g."""
-    adj = g.adjacency()
-    if any(not nb for nb in adj):
+    if not all(g.adj):
         raise HypergraphError("isolated vertex has an empty open neighborhood")
-    return Hypergraph(g.n, [sorted(nb) for nb in adj])
+    return Hypergraph(g.n, g.adj)
 
 
 def dual_graph(h: Hypergraph) -> Graph:
@@ -299,18 +306,21 @@ def dual_graph(h: Hypergraph) -> Graph:
 
     Vertices are the edges of h; each degree-2 vertex of h contributes the
     graph edge joining its two incident hyperedges.  Linearity guarantees
-    simplicity.
+    simplicity, so the neighbours of edge i are the other members of the
+    union of its vertices' incidence masks, in increasing order.
     """
     if not is_linear(h):
         raise HypergraphError("dual requires a linear hypergraph")
     if h.max_degree() > 2:
         raise HypergraphError("dual requires max degree <= 2")
-    incident: list[list[int]] = [[] for _ in range(h.n)]
+    inc = h.incidence_masks()
+    adj = []
     for i, e in enumerate(h.edges):
+        union = 0
         for v in e:
-            incident[v].append(i)
-    pairs = [tuple(inc) for inc in incident if len(inc) == 2]
-    return Graph(h.m, pairs)
+            union |= inc[v]
+        adj.append(tuple(members(union & ~(1 << i))))
+    return Graph._trusted(h.m, tuple(adj), None)
 
 
 def components(h: Hypergraph | Graph) -> list[set[int]]:
@@ -459,30 +469,6 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
     if g1.n != g2.n or g1.m != g2.m:
         return False
     return _iso_backtrack(g1.n, g1.edges, g2.edges) is not None
-
-
-def girth(g: Graph) -> Optional[int]:
-    """Length of a shortest cycle, or None if the graph is a forest."""
-    best: Optional[int] = None
-    adj = g.adjacency()
-    for s in range(g.n):
-        dist = {s: 0}
-        par = {s: -1}
-        queue = [s]
-        while queue:
-            nxt = []
-            for v in queue:
-                for w in adj[v]:
-                    if w not in dist:
-                        dist[w] = dist[v] + 1
-                        par[w] = v
-                        nxt.append(w)
-                    elif w != par[v]:
-                        cyc = dist[v] + dist[w] + 1
-                        if best is None or cyc < best:
-                            best = cyc
-            queue = nxt
-    return best
 
 
 def complete_graph(n: int) -> Graph:

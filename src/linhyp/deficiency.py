@@ -15,7 +15,6 @@ from typing import Callable, Optional
 from .catalog import DEFIC_WEIGHT, NAMES, TAU_OF_CLASS, order_class, special
 from .core import (
     CertificateError,
-    Graph,
     Hypergraph,
     HypergraphError,
     component_count,
@@ -455,25 +454,6 @@ def defic_of_set(host: Hypergraph, x: SpecialSet) -> int:
     """10|X_10| + 8|X_4| + 5|X_14| + 4|X_11| + |X_21| - 13|E*(X)|."""
     weight = sum(DEFIC_WEIGHT[order_class(emb.kind)] for emb in x.embeddings)
     return weight - 13 * len(estar(host, x))
-
-
-def estar_bipartite_graph(host: Hypergraph, x: SpecialSet) -> Graph:
-    """The bipartite graph pairing packed copies with the E*(X) edges.
-
-    Left side: one vertex per member of the packing (in order).  Right side:
-    one vertex per E*(X) edge (ascending edge index).  An edge joins them
-    when the external edge intersects that copy.  Matchings here decide
-    whether every external edge can be charged to a distinct copy.
-    """
-    inc = host.incidence_masks()
-    _, touch, own = _masks(inc, x.embeddings)
-    ext = members(touch & ~own)
-    k = len(x.embeddings)
-    touches = [_masks(inc, (emb,))[1] for emb in x.embeddings]
-    pairs = [
-        (i, k + j) for j, e in enumerate(ext) for i, t in enumerate(touches) if t >> e & 1
-    ]
-    return Graph(k + len(ext), pairs, bipartition=(range(k), range(k, k + len(ext))))
 
 
 def _candidate_embeddings(host: Hypergraph) -> list[Embedding]:

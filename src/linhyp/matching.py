@@ -25,6 +25,7 @@ from .core import (
     HypergraphError,
     components,
     dual_graph,
+    vertex_mask,
 )
 from .solver import GuardExceeded, tau
 
@@ -40,15 +41,18 @@ class Matching:
     def check(self, g: Graph) -> bool:
         """True iff every pair is an edge of ``g`` and no vertex repeats.
 
-        Each pair, in either orientation, is looked up by bisection in
-        ``g.edges``, which ``Graph`` keeps sorted and duplicate-free.
+        Each pair ``(a, b)`` needs both ids in ``[0, n)``, checked first,
+        and ``b`` is then looked up by bisection in ``g.adj[a]``, which
+        ``Graph`` keeps sorted and duplicate-free.
         """
-        edges = g.edges
+        n, adj = g.n, g.adj
         seen: set[int] = set()
         for a, b in self.pairs:
-            pair = (a, b) if a < b else (b, a)
-            i = bisect_left(edges, pair)
-            if i == len(edges) or edges[i] != pair:
+            if not (0 <= a < n and 0 <= b < n):
+                return False
+            nb = adj[a]
+            i = bisect_left(nb, b)
+            if i == len(nb) or nb[i] != b:
                 return False
             if a in seen or b in seen:
                 return False
@@ -74,13 +78,12 @@ def max_matching_bipartite(g: Graph) -> Matching:
         raise HypergraphError("bipartite matching needs a bipartition")
     left = sorted(g.bipartition[0])
     right = sorted(g.bipartition[1])
-    bit = {w: 1 << i for i, w in enumerate(right)}
+    position = [0] * g.n
+    for i, w in enumerate(right):
+        position[w] = i
     nmask = [0] * g.n
-    for a, b in g.edges:
-        if a in bit:
-            nmask[b] |= bit[a]
-        else:
-            nmask[a] |= bit[b]
+    for u in left:
+        nmask[u] = vertex_mask(position[w] for w in g.adj[u])
     owner = [-1] * len(right)  # the left vertex matched to each right position
     mate = [-1] * g.n  # the right position matched to each left vertex
     everyone = (1 << len(right)) - 1
@@ -139,19 +142,18 @@ def hall_violator(g: Graph, side: int = 0) -> Optional[frozenset[int]]:
         raise HypergraphError("Hall check needs a bipartition")
     chosen = sorted(g.bipartition[side])
     other_bip = (g.bipartition[1], g.bipartition[0])
-    view = g if side == 0 else Graph._trusted(g.n, g.edges, other_bip)
+    view = g if side == 0 else Graph._trusted(g.n, g.adj, other_bip)
     match = {a: b for a, b in max_matching_bipartite(view).pairs}
     match.update({b: a for a, b in match.items()})
     unmatched = [v for v in chosen if v not in match]
     if not unmatched:
         return None
-    adj = g.adjacency()
     reach_side = set(unmatched)
     reach_other: set[int] = set()
     frontier = list(unmatched)
     while frontier:
         v = frontier.pop()
-        for w in adj[v]:
+        for w in g.adj[v]:
             if w in reach_other:
                 continue
             reach_other.add(w)
@@ -174,11 +176,7 @@ def max_matching_general(g: Graph) -> Matching:
     augments from each vertex still unmatched.  The result is re-checked, and
     a failure raises ``CertificateError``.
     """
-    n = g.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for a, b in g.edges:  # sorted with a < b, so every list comes out sorted
-        adj[a].append(b)
-        adj[b].append(a)
+    n, adj = g.n, g.adj
     match = [-1] * n
     for v in range(n):
         if match[v] == -1:
@@ -262,28 +260,6 @@ def max_matching_general(g: Graph) -> Matching:
     if not m.check(g):
         raise CertificateError("blossom matching fails its re-check")
     return m
-
-
-def max_matching_bruteforce(g: Graph, guard_m: int = 60) -> int:
-    """Exhaustive matching-size oracle over edge subsets.
-
-    Sizes increase until none is feasible; any matching of size s+1 contains
-    one of size s, so the first gap is conclusive.
-    """
-    if g.m > guard_m:
-        raise GuardExceeded(f"m={g.m} exceeds brute-force guard {guard_m}")
-    best = 0
-    for size in range(1, g.n // 2 + 1):
-        found = False
-        for sub in combinations(g.edges, size):
-            verts = [v for e in sub for v in e]
-            if len(set(verts)) == 2 * size:
-                found = True
-                break
-        if not found:
-            break
-        best = size
-    return best
 
 
 def odd_components(g: Graph, removed: frozenset[int]) -> int:

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable
 
-from .core import CertificateError, Graph, Hypergraph, HypergraphError, onh, vertex_mask
+from .core import CertificateError, Graph, Hypergraph, onh, vertex_mask
 
 
 class GuardExceeded(RuntimeError):
@@ -214,18 +214,3 @@ def exists_min_transversal(
 def gamma_t(g: Graph) -> int:
     """Total domination number, via tau of the open neighborhood hypergraph."""
     return tau(onh(g)).tau
-
-
-def gamma_t_bruteforce(g: Graph, guard_n: int = 16) -> int:
-    """Independent total-domination oracle: scan vertex subsets directly."""
-    if g.n > guard_n:
-        raise GuardExceeded(f"n={g.n} exceeds brute-force guard {guard_n}")
-    adj = g.adjacency()
-    if any(not nb for nb in adj):
-        raise HypergraphError("total domination undefined with isolated vertices")
-    for size in range(1, g.n + 1):
-        for cand in combinations(range(g.n), size):
-            s = set(cand)
-            if all(adj[v] & s for v in range(g.n)):
-                return size
-    raise AssertionError("unreachable")

@@ -21,12 +21,13 @@ from linhyp.algebra import (
 from linhyp.catalog import special
 from linhyp.core import (
     degrees,
-    girth,
     hypergraph_isomorphic,
     is_connected,
     is_k_uniform,
     is_linear,
 )
+
+from oracles import girth
 
 
 class TestField:

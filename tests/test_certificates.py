@@ -12,7 +12,14 @@ import pytest
 
 from linhyp import matching, probability
 from linhyp.catalog import special
-from linhyp.core import CertificateError, Graph, complete_bipartite, complete_graph
+from linhyp.algebra import projective_plane
+from linhyp.core import (
+    CertificateError,
+    Graph,
+    complete_bipartite,
+    complete_graph,
+    incidence_graph,
+)
 from linhyp.deficiency import find_embeddings
 from linhyp.matching import (
     Matching,
@@ -164,6 +171,26 @@ def test_matching_check_rejects_under_python_O():
         "print([Matching(p).check(g) for p in cases])\n"
     )
     assert _run_under_O(script) == "[False, False, False, True]"
+
+
+def test_matching_check_rejects_on_an_incidence_graph_under_python_O():
+    # on PG(2,3), point 0 lies on line nodes 13 and 14 but not on 22, and
+    # vertex -1 would wrap onto the last line node without the range check
+    h = projective_plane(3)
+    g = incidence_graph(h)
+    assert g.adj[0][:2] == (13, 14) and 22 not in g.adj[0]
+    assert h.edges[-1][0] in g.adj[-1]
+    script = (
+        "from linhyp import incidence_graph, projective_plane\n"
+        "from linhyp.matching import Matching\n"
+        "h = projective_plane(3)\n"
+        "g = incidence_graph(h)\n"
+        "last = h.edges[-1][0]\n"
+        "cases = [((0, 13),), ((0, 22),), ((0, 13), (0, 14)), ((0, 13), (h.edges[0][1], 13)),\n"
+        "         ((-1, last),), ((g.n, 0),), ((0, g.n),)]\n"
+        "print([Matching(p).check(g) for p in cases])\n"
+    )
+    assert _run_under_O(script) == "[True, False, False, False, False, False, False]"
 
 
 def test_embedding_checks_survive_python_O():

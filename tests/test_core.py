@@ -1,6 +1,7 @@
 """Structural model and transformation tests."""
 
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -31,9 +32,10 @@ from linhyp.core import (
     shrink_remove,
 )
 from linhyp.rng import SplitMix64
-from linhyp.solver import gamma_t_bruteforce, tau
+from linhyp.solver import tau
 
 from corpus import random_host
+from oracles import gamma_t_bruteforce
 
 
 def h4() -> Hypergraph:
@@ -194,6 +196,106 @@ class TestIncidenceGraph:
         g = incidence_graph(affine_residual(4, 1))
         assert g.n == 30
         assert set(g.degrees()) == {4}
+
+
+class TestGraphAdjacency:
+    @staticmethod
+    def random_pairs(rng: SplitMix64, n: int) -> list[tuple[int, int]]:
+        # each pair drawn in either orientation, and some drawn twice
+        pairs = []
+        for _ in range(rng.randbelow(3 * n + 1)):
+            a, b = rng.sample(range(n), 2)
+            pairs.append((a, b))
+            if rng.randbelow(4) == 0:
+                pairs.append((b, a) if rng.randbelow(2) else (a, b))
+        return pairs
+
+    def test_edges_match_sorted_canonical_pairs(self):
+        rng = SplitMix64(0x6A7)
+        reversed_seen = duplicates_seen = 0
+        for _ in range(60):
+            n = 2 + rng.randbelow(20)
+            pairs = self.random_pairs(rng, n)
+            canon = {(min(a, b), max(a, b)) for a, b in pairs}
+            reversed_seen += any(a > b for a, b in pairs)
+            duplicates_seen += len(canon) < len(pairs)
+            g = Graph(n, pairs)
+            assert g.edges == tuple(sorted(canon))
+            assert g.m == len(canon)
+            assert g.degrees() == [sum(v in e for e in canon) for v in range(n)]
+            for v, nb in enumerate(g.adj):
+                assert type(nb) is tuple and list(nb) == sorted(set(nb))
+                assert all(v in g.adj[w] for w in nb)
+        assert reversed_seen >= 50 and duplicates_seen >= 30
+
+    def test_equality_and_hash_follow_the_edge_set(self):
+        rng = SplitMix64(0x4A5)
+        for _ in range(30):
+            n = 2 + rng.randbelow(12)
+            pairs = self.random_pairs(rng, n)
+            g = Graph(n, pairs)
+            flipped = Graph(n, [(b, a) for a, b in reversed(pairs)] + pairs[:3])
+            assert g == flipped and hash(g) == hash(flipped)
+            assert g != Graph(n + 1, pairs)
+            if g.m:
+                assert g != Graph(n, g.edges[1:])
+        g = complete_bipartite(2, 3)
+        assert g != Graph(5, g.edges)
+        assert g == Graph(5, g.edges, bipartition=([0, 1], [2, 3, 4]))
+
+    def test_bipartition_rejects_edges_within_either_side(self):
+        for pairs in ([(0, 1)], [(3, 2)], [(0, 2), (1, 3), (3, 2)]):
+            with pytest.raises(HypergraphError, match="does not cross"):
+                Graph(4, pairs, bipartition=([0, 1], [2, 3]))
+        Graph(4, [(0, 2), (3, 1)], bipartition=([0, 1], [2, 3]))
+
+    def test_onh_matches_sorted_neighbour_sets(self):
+        rng = SplitMix64(0x0A4)
+        for _ in range(30):
+            n = 2 + rng.randbelow(12)
+            g = Graph(n, self.random_pairs(rng, n) + [(v, (v + 1) % n) for v in range(n)])
+            nbrs = [set() for _ in range(n)]
+            for a, b in g.edges:
+                nbrs[a].add(b)
+                nbrs[b].add(a)
+            assert onh(g) == Hypergraph(n, [sorted(nb) for nb in nbrs])
+
+    @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13])
+    def test_incidence_graph_matches_checked_construction_on_planes(self, q):
+        for h in (projective_plane(q), affine_plane(q)):
+            self.assert_incidence_graph_matches_checked_construction(h)
+
+    def test_incidence_graph_matches_checked_construction_on_random_hosts(self):
+        rng = SplitMix64(0x1C6)
+        for i in range(40):
+            h = random_host(rng, 1 + rng.randbelow(15), rng.randbelow(12), 5)
+            self.assert_incidence_graph_matches_checked_construction(h)
+
+    @staticmethod
+    def assert_incidence_graph_matches_checked_construction(h: Hypergraph) -> None:
+        pairs = [(v, h.n + i) for i, e in enumerate(h.edges) for v in e]
+        left, right = range(h.n), range(h.n, h.n + h.m)
+        expected = Graph(h.n + h.m, pairs, bipartition=(left, right))
+        g = incidence_graph(h)
+        assert g == expected and hash(g) == hash(expected)
+        assert g.edges == tuple(sorted(pairs))
+
+    def test_incidence_graph_shares_the_edge_tuples(self):
+        h = projective_plane(5)
+        g = incidence_graph(h)
+        assert all(g.adj[h.n + i] is e for i, e in enumerate(h.edges))
+
+    def test_incidence_graph_of_order_37_retains_under_one_mib(self):
+        h = projective_plane(37)
+        tracemalloc.start()
+        try:
+            g = incidence_graph(h)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert g.m == 38 * h.n
+        # the edge-tuple form retained 3.61 MiB
+        assert retained <= 2**20
 
 
 class TestBipartiteComplement:

@@ -1,13 +1,12 @@
 """Differential test of the deficiency search on incidence masks.
 
-``oracle_deficiency``, ``oracle_estar``, ``oracle_defic_of_set`` and
-``oracle_estar_bipartite_graph`` are frozen copies of the set-based code:
-E*(X) by a frozenset scan of every host edge, a fresh ``SpecialSet`` and a
-full rescore at every search node, and a bound that subtracts 13 for each
-E*(X) edge no compatible candidate can absorb.  The mask-based search must
-return the same value and argmax, visit the same special sets in the same
-order, and agree on E*(X), defic and the E*(X) bipartite graph of every
-visited set.  The oracle also counts its prunes, so the corpus is checked
+``oracle_deficiency``, ``oracle_estar`` and ``oracle_defic_of_set`` are
+frozen copies of the set-based code: E*(X) by a frozenset scan of every host
+edge, a fresh ``SpecialSet`` and a full rescore at every search node, and a
+bound that subtracts 13 for each E*(X) edge no compatible candidate can
+absorb.  The mask-based search must return the same value and argmax, visit
+the same special sets in the same order, and agree on E*(X) and defic of
+every visited set.  The oracle also counts its prunes, so the corpus is checked
 to reach pruned searches.
 """
 
@@ -20,14 +19,13 @@ import pytest
 from linhyp import cli
 from linhyp.algebra import random_linear
 from linhyp.catalog import DEFIC_WEIGHT, NAMES, SHAPES, order_class, special
-from linhyp.core import Graph, Hypergraph, HypergraphError, is_linear
+from linhyp.core import Hypergraph, HypergraphError, is_linear
 from linhyp.deficiency import (
     SpecialSet,
     _candidate_embeddings,
     defic_of_set,
     deficiency,
     estar,
-    estar_bipartite_graph,
 )
 from linhyp.hgio import dumps
 from linhyp.rng import SplitMix64
@@ -48,18 +46,6 @@ def oracle_defic_of_set(host: Hypergraph, x: SpecialSet) -> int:
     counts = x.partition_counts()
     weight = sum(DEFIC_WEIGHT[cls] * cnt for cls, cnt in counts.items())
     return weight - 13 * len(oracle_estar(host, x))
-
-
-def oracle_estar_bipartite_graph(host: Hypergraph, x: SpecialSet) -> Graph:
-    ext = sorted(oracle_estar(host, x))
-    k = len(x.embeddings)
-    pairs = []
-    for j, ei in enumerate(ext):
-        everts = set(host.edges[ei])
-        for i, emb in enumerate(x.embeddings):
-            if everts & set(emb.vertex_map):
-                pairs.append((i, k + j))
-    return Graph(k + len(ext), pairs, bipartition=(range(k), range(k, k + len(ext))))
 
 
 def oracle_deficiency(host: Hypergraph, guard_n: int = 30, visitor=None, prunes=None):
@@ -202,7 +188,6 @@ def test_deficiency_matches_frozen_oracle(name, host):
     for x in {x.embeddings: x for x in seen}.values():
         assert estar(host, x) == oracle_estar(host, x)
         assert defic_of_set(host, x) == oracle_defic_of_set(host, x)
-        assert estar_bipartite_graph(host, x) == oracle_estar_bipartite_graph(host, x)
 
 
 def test_corpus_reaches_hard_cases():

@@ -23,13 +23,13 @@ from linhyp.matching import (
     check_dual_identity,
     hall_violator,
     max_matching_bipartite,
-    max_matching_bruteforce,
     max_matching_general,
     odd_components,
     tutte_berge_certificate,
 )
 
 from corpus import greedy_start
+from oracles import estar_bipartite_graph, max_matching_bruteforce
 
 
 def recursive_bipartite_matching(g: Graph, start: dict[int, int] | None = None) -> Matching:
@@ -257,7 +257,7 @@ class TestPackingGraph:
     def test_matching_vs_bruteforce_on_special_set(self):
         # bipartite graph pairing packed copies with external edges
         from linhyp.algebra import random_linear
-        from linhyp.deficiency import SpecialSet, estar_bipartite_graph, find_embeddings
+        from linhyp.deficiency import SpecialSet, find_embeddings
 
         for seed in (3, 14, 159, 2653):
             host = random_linear(12, 4, 3, 6, seed=seed)

@@ -200,3 +200,24 @@ def test_is_linear_matches_pairwise_reference():
     assert any(is_linear(h) for h in hosts) and not all(is_linear(h) for h in hosts)
     for h in hosts:
         assert is_linear(h) == _pairwise_linear(h), h
+
+
+def test_is_linear_matches_pairwise_reference_with_small_duplicates():
+    # duplicate edges of size 1 keep a host linear, those of size 2 do not
+    rng = SplitMix64(0x1D0)
+    verdicts = {True: 0, False: 0}
+    dup_sizes = set()
+    for _ in range(3000):
+        n = 2 + rng.randbelow(9)
+        h = random_host(rng, n, rng.randbelow(6), 3)
+        edges = list(h.edges)
+        for _ in range(rng.randbelow(3)):
+            e = rng.sample(range(n), 1 + rng.randbelow(2))
+            edges += [e, e]
+            dup_sizes.add(len(e))
+        h = Hypergraph(n, edges)
+        linear = is_linear(h)
+        assert linear == _pairwise_linear(h), h
+        verdicts[linear] += 1
+    assert dup_sizes == {1, 2}
+    assert min(verdicts.values()) >= 500, verdicts

@@ -143,8 +143,6 @@ def oracle_n(h: Hypergraph, idx, deg: list[int]) -> list:
             if s1 & set(t2):
                 continue
             m12 = m1 & hit3[t2]
-            if m12 == idx.full:
-                continue
             s12 = s1 | set(t2)
             for t3 in indep2:
                 if s12 & set(t3):
@@ -368,7 +366,7 @@ def _item_hosts() -> list[tuple[str, Hypergraph]]:
         for n, k, d, m, seed in ITEM_RANDOM
     ]
     # every minimum transversal is {0, 3}, so it hits both (0, 1, 2) and
-    # (3, 4, 5), and item (n) skips that pair although (6, 7) misses it
+    # (3, 4, 5), and item (n) must still report (6, 7), which misses it
     hosts.append(("forced", Hypergraph(8, [[0], [3]])))
     return hosts
 
@@ -426,6 +424,14 @@ def test_item_o_fails_only_where_item_g_fails():
             g_passing += 1
             assert ok_o, name
     assert g_passing >= len(NAMES)
+
+
+def test_item_n_reports_pairs_every_minimum_transversal_hits():
+    h = dict(ITEM_HOSTS)["forced"]
+    idx = _TransversalIndex(h)
+    assert idx.transversals == [(0, 3)]
+    bad = _check_property_n(h, idx, degrees(h), _adjacency_masks(h))
+    assert ((0, 1, 2), (3, 4, 5), (6, 7)) in bad
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
