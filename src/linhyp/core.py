@@ -9,6 +9,7 @@ them.  All operations are pure functions returning new values.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -355,120 +356,181 @@ def is_connected(h: Hypergraph | Graph) -> bool:
     return h.n == 0 or component_count(h) == 1
 
 
-def _refine_colors(n: int, edges: Sequence[Sequence[int]], rounds: int = 3) -> list[int]:
-    # iterated degree-profile refinement: a vertex's color folds in the sorted
-    # color multisets of its incident edges
-    col = [0] * n
-    for _ in range(rounds):
-        ekeys = [tuple(sorted(col[v] for v in e)) for e in edges]
-        vkeys: list[tuple] = [(col[v],) for v in range(n)]
-        for i, e in enumerate(edges):
-            for v in e:
-                vkeys[v] = vkeys[v] + (ekeys[i],)
-        sig = [(k[0], tuple(sorted(k[1:]))) for k in vkeys]
-        remap = {s: i for i, s in enumerate(sorted(set(sig)))}
-        new = [remap[s] for s in sig]
-        if new == col:
-            break
-        col = new
-    return col
+def _refine(
+    col: list[int],
+    edges: Sequence[Sequence[int]],
+    inc: Sequence[Sequence[int]],
+    rounds: float = math.inf,
+) -> tuple[list[int], int, bool]:
+    """Refine the vertex colouring ``col`` towards the coarsest equitable one
+    for at most ``rounds`` rounds; return the colouring reached, the rounds
+    spent and whether it is equitable.
+
+    Each round an edge takes the multiset of its vertices' colours, and a
+    vertex its old colour with the multiset of its edges' colours; rounds
+    repeat until no colour class splits.  Both partitions only ever split,
+    so equal class counts mean equal partitions, and edge classes that did
+    not split leave the vertex classes as they are.  Colours are named in
+    order of first appearance, so they are consistent within one call only.
+    """
+    count, ecount = len(set(col)), -1
+    spent = 0
+    while spent < rounds:
+        spent += 1
+        names: dict = {}
+        get = col.__getitem__
+        ecol = [names.setdefault(tuple(sorted(map(get, e))), len(names)) for e in edges]
+        if len(names) == ecount:
+            return col, spent, True
+        ecount = len(names)
+        names = {}
+        get = ecol.__getitem__
+        new = [
+            names.setdefault((c, tuple(sorted(map(get, iv)))), len(names))
+            for c, iv in zip(col, inc)
+        ]
+        if len(names) == count:
+            return col, spent, True
+        col, count = new, len(names)
+    return col, spent, False
 
 
-def _iso_backtrack(
-    n: int,
-    e1: Sequence[Sequence[int]],
-    e2: Sequence[Sequence[int]],
-) -> Optional[dict[int, int]]:
-    c1 = _refine_colors(n, e1)
-    c2 = _refine_colors(n, e2)
-    if sorted(c1) != sorted(c2):
-        return None
-    target: dict[frozenset, int] = {}
-    for e in e2:
-        target[frozenset(e)] = target.get(frozenset(e), 0) + 1
-    inc1: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(e1):
+def _incidence_lists(n: int, edges: Sequence[Sequence[int]]) -> list[list[int]]:
+    inc: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(edges):
         for v in e:
-            inc1[v].append(i)
-    inc2: list[list[frozenset]] = [[] for _ in range(n)]
-    for e in e2:
-        fe = frozenset(e)
-        for v in e:
-            inc2[v].append(fe)
-    # connected expansion order: always extend next to the mapped region,
-    # preferring rarer colors, so edges complete (and prune) early
-    freq = {c: c1.count(c) for c in set(c1)}
-    order: list[int] = []
-    placed = [False] * n
-    adj1: list[set[int]] = [set() for _ in range(n)]
-    for e in e1:
-        for v in e:
-            adj1[v].update(e)
-    while len(order) < n:
-        best = None
-        for v in range(n):
-            if placed[v]:
-                continue
-            attached = sum(1 for u in adj1[v] if placed[u])
-            key = (-attached, freq[c1[v]], v)
-            if best is None or key < best[0]:
-                best = (key, v)
-        order.append(best[1])
-        placed[best[1]] = True
-    mapping: dict[int, int] = {}
-    used = [False] * n
+            inc[v].append(i)
+    return inc
 
-    def consistent(v: int) -> bool:
-        w = mapping[v]
-        for i in inc1[v]:
-            e = e1[i]
-            img = {mapping[u] for u in e if u in mapping}
-            if len(img) == len(e):
-                if frozenset(img) not in target:
-                    return False
+
+def _maps_onto(perm: Sequence[int], e1: Sequence[Sequence[int]], want: list[tuple]) -> bool:
+    """True iff ``perm`` maps the edge multiset ``e1`` onto ``want`` (sorted)."""
+    return sorted(tuple(sorted([perm[v] for v in e])) for e in e1) == want
+
+
+class _Union:
+    """The disjoint union of two edge lists on ``n`` vertices each, for an
+    individualize-and-refine isomorphism search (McKay and Piperno,
+    *Practical graph isomorphism II*, 2014).
+
+    Vertex v of the first copy is v, of the second ``n + v``.  Colours are
+    refined jointly on both copies, so a colour class holding unequal
+    numbers of vertices from the two copies admits no isomorphism.
+    """
+
+    def __init__(self, n: int, e1: Sequence[Sequence[int]], e2: Sequence[Sequence[int]]):
+        self.n = n
+        self.e1 = e1
+        self.edges = [*e1, *([v + n for v in e] for e in e2)]
+        self.inc = _incidence_lists(2 * n, self.edges)
+        self.want = sorted(map(tuple, e2))
+
+    def search(self, col: list[int], budget: float = math.inf) -> tuple[Optional[list[int]], int]:
+        """An isomorphism from the first copy onto the second that respects the
+        colouring ``col`` of the union, as a list of images, or None; and the
+        refinement rounds spent, each one pass over the incidences.
+
+        Depth first and iterative: refine; if every class holds one vertex
+        of each copy, the leaf's bijection is returned once an explicit check
+        confirms that it maps the first edge multiset onto the second;
+        otherwise the first vertex of the first copy in the largest class is
+        individualised against each vertex of the second copy in that class
+        in turn.  Once ``budget`` rounds are spent the answer is None, which
+        never claims an isomorphism.
+        """
+        n = self.n
+        used = 0
+        stack = []
+        while True:
+            col, spent, equitable = _refine(col, self.edges, self.inc, budget - used)
+            used += spent
+            if not equitable:
+                return None, used
+            cells: dict[int, list[int]] = {}
+            for v, c in enumerate(col):
+                cells.setdefault(c, []).append(v)
+            # a class lists the first copy's vertices first; it must hold
+            # as many of them as of the second copy's
+            if all(
+                len(c) % 2 == 0 and c[len(c) // 2 - 1] < n <= c[len(c) // 2]
+                for c in cells.values()
+            ):
+                target = max(cells.values(), key=len, default=())
+                if len(target) <= 2:
+                    perm = [0] * n
+                    for a, b in cells.values():
+                        perm[a] = b - n
+                    if _maps_onto(perm, self.e1, self.want):
+                        return perm, used
+                else:
+                    stack.append((col, target[0], iter(target[len(target) // 2:])))
+            while stack:
+                base, x, ys = stack[-1]
+                y = next(ys, None)
+                if y is not None:
+                    col = base[:]
+                    col[x] = col[y] = max(base) + 1
+                    break
+                stack.pop()
             else:
-                # a partially mapped edge must still fit inside some edge at w
-                if not any(img <= fe for fe in inc2[w]):
-                    return False
-        return True
+                return None, used
 
-    def bt(i: int) -> bool:
-        if i == n:
-            got: dict[frozenset, int] = {}
-            for e in e1:
-                key = frozenset(mapping[u] for u in e)
-                got[key] = got.get(key, 0) + 1
-            return got == target
-        v = order[i]
-        for w in range(n):
-            if used[w] or c2[w] != c1[v]:
-                continue
-            mapping[v] = w
-            used[w] = True
-            if consistent(v) and bt(i + 1):
-                return True
-            del mapping[v]
-            used[w] = False
-        return False
 
-    if bt(0):
-        return dict(mapping)
-    return None
+class Automorphisms:
+    """Automorphism queries on one hypergraph under one budget of refinement
+    rounds, shared by every query.
+
+    ``colors`` is a colouring of V(H) that every automorphism preserves.  It
+    is refined towards the coarsest equitable colouring one round at a time,
+    and only as far as the queries need: once u and v differ in colour, no
+    automorphism maps u to v, and the query needs no search.  On a rigid
+    host that takes a round or two, where the equitable colouring may take
+    several.  Once the budget is spent every query answers None.
+    """
+
+    def __init__(self, h: Hypergraph, budget: Optional[int] = None):
+        self.h = h
+        self.left = math.inf if budget is None else budget
+        self.colors = [0] * h.n
+        self.equitable = False
+        self._inc = _incidence_lists(h.n, h.edges)
+        self._union: Optional[_Union] = None
+
+    def mapping(self, u: int, v: int) -> Optional[list[int]]:
+        """A permutation of V(H) mapping the edge multiset onto itself and
+        ``u`` to ``v``, or None if there is none or the budget ran out."""
+        while self.colors[u] == self.colors[v] and not self.equitable:
+            if self.left <= 0:
+                return None
+            self.colors, spent, self.equitable = _refine(
+                self.colors, self.h.edges, self._inc, 1
+            )
+            self.left -= spent
+        if self.colors[u] != self.colors[v]:
+            return None
+        if self._union is None:
+            self._union = _Union(self.h.n, self.h.edges, self.h.edges)
+        col = self.colors * 2
+        col[u] = col[self.h.n + v] = max(self.colors) + 1
+        perm, spent = self._union.search(col, self.left)
+        self.left -= spent
+        return perm
 
 
 def hypergraph_isomorphic(h1: Hypergraph, h2: Hypergraph) -> bool:
-    """Backtracking isomorphism with degree-profile pruning."""
+    """Individualize-and-refine isomorphism test on the disjoint union."""
     if h1.n != h2.n or h1.m != h2.m:
         return False
     if sorted(map(len, h1.edges)) != sorted(map(len, h2.edges)):
         return False
-    return _iso_backtrack(h1.n, h1.edges, h2.edges) is not None
+    return _Union(h1.n, h1.edges, h2.edges).search([0] * (2 * h1.n))[0] is not None
 
 
 def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
+    """The same search on the edge pairs; bipartitions are ignored."""
     if g1.n != g2.n or g1.m != g2.m:
         return False
-    return _iso_backtrack(g1.n, g1.edges, g2.edges) is not None
+    return _Union(g1.n, g1.edges, g2.edges).search([0] * (2 * g1.n))[0] is not None
 
 
 def complete_graph(n: int) -> Graph:

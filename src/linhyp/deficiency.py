@@ -12,7 +12,7 @@ from functools import lru_cache
 from operator import ge, itemgetter
 from typing import Callable, Optional
 
-from .catalog import DEFIC_WEIGHT, NAMES, TAU_OF_CLASS, order_class, special
+from .catalog import DEFIC_WEIGHT, NAMES, order_class, special
 from .core import (
     CertificateError,
     Hypergraph,
@@ -70,12 +70,6 @@ class SpecialSet:
         for emb in self.embeddings:
             counts[order_class(emb.kind)] += 1
         return counts
-
-    def x_transversal_size(self) -> int:
-        """Minimum size of a set hitting every edge of every member copy."""
-        return sum(
-            TAU_OF_CLASS[order_class(emb.kind)] for emb in self.embeddings
-        )
 
     def footprint(self) -> tuple[int, ...]:
         return tuple(sorted(self.edge_set()))
@@ -517,23 +511,6 @@ def deficiency(
 
     dfs(0, (), 0, 0, 0, 0)
     return best_value, SpecialSet(tuple(cands[i] for i in best_chosen))
-
-
-def enumerate_special_sets(
-    host: Hypergraph, guard_n: int = 30
-) -> list[SpecialSet]:
-    """Every special set the deficiency search visits (including empty)."""
-    seen: list[SpecialSet] = []
-    keys: set[tuple] = set()
-
-    def visit(ss: SpecialSet) -> None:
-        key = tuple(sorted((e.kind, e.edge_indices) for e in ss.embeddings))
-        if key not in keys:
-            keys.add(key)
-            seen.append(ss)
-
-    deficiency(host, guard_n=guard_n, visitor=visit)
-    return seen
 
 
 def check_key_theorem(host: Hypergraph) -> bool:

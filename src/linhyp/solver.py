@@ -9,9 +9,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable
+from typing import Callable, Optional
 
-from .core import CertificateError, Graph, Hypergraph, onh, vertex_mask
+from .core import Automorphisms, CertificateError, Graph, Hypergraph, onh, vertex_mask
+
+
+# Measured cost ratios, not settings.  The unit is one search node per unit
+# of mean edge size: a node scans the m uncovered edges, while one
+# refinement round of H or H + H passes over all their incidences and costs
+# 2 to 4 units on the plane and ONH hosts.  A root whose first child took
+# fewer than _TEST_NODES units runs no automorphism test (a test on a
+# symmetric host refines H and then H + H a few rounds each); otherwise the
+# whole test may spend one round per _ROUND_NODES units, so it costs at most
+# about as much as the first child did.
+_TEST_NODES = 40
+_ROUND_NODES = 4
 
 
 class GuardExceeded(RuntimeError):
@@ -32,7 +44,12 @@ class TransversalResult:
 
 
 def tau_bruteforce(h: Hypergraph, guard_n: int = 25) -> TransversalResult:
-    """Increasing-size, lexicographic subset scan; the independent oracle."""
+    """Increasing-size, lexicographic subset scan; the independent oracle.
+
+    It shares no code with :func:`tau`, which makes it the reference that
+    tests and callers can check a branch-and-bound answer against on small
+    hosts; it stays in the library because it is exported and documented.
+    """
     if h.n > guard_n:
         raise GuardExceeded(f"n={h.n} exceeds brute-force guard {guard_n}")
     masks = h.edge_masks()
@@ -58,6 +75,46 @@ def _greedy_cover(inc: list[int], uncovered: int) -> list[int]:
     return cover
 
 
+def _first_orbit(h: Hypergraph, first: int, spent: int) -> Optional[Callable[[int], bool]]:
+    """The orbit test for the root children after the first, ``first``.
+
+    ``spent`` is the size of the first child's finished subtree, in nodes;
+    divided by the mean edge size of H it is a cost in the unit of
+    ``_TEST_NODES`` and ``_ROUND_NODES``.  Below ``_TEST_NODES`` there is no
+    test (None).  Otherwise the automorphism searches share a budget of one
+    refinement round per ``_ROUND_NODES``, and the test is true for a vertex
+    once an automorphism found maps ``first`` onto it: the orbit is closed
+    under every automorphism found, so most children of a symmetric root
+    need no search of their own.
+    """
+    if spent < _TEST_NODES:  # the mean edge size is at least 1: skip the scan
+        return None
+    spent *= h.m / sum(map(len, h.edges))
+    if spent < _TEST_NODES:
+        return None
+    autos = Automorphisms(h, int(spent // _ROUND_NODES))
+    orbit = {first}
+    found: list[list[int]] = []
+
+    def in_orbit(v: int) -> bool:
+        if v in orbit:
+            return True
+        perm = autos.mapping(first, v)
+        if perm is None:
+            return False
+        found.append(perm)
+        todo = list(orbit)
+        while todo:
+            w = todo.pop()
+            for g in found:
+                if g[w] not in orbit:
+                    orbit.add(g[w])
+                    todo.append(g[w])
+        return True
+
+    return in_orbit
+
+
 def tau(h: Hypergraph) -> TransversalResult:
     """Exact transversal number by bitset branch and bound.
 
@@ -76,6 +133,20 @@ def tau(h: Hypergraph) -> TransversalResult:
     subtree, so tau and the witness (the DFS's first optimum) do not depend
     on the bounds; ``nodes_explored`` is a work counter that a stronger bound
     lowers.
+
+    Orbit rule (Ostrowski, Linderoth, Rossi and Smriglio, *Orbital
+    branching*, Math. Program. 2011): once the root's first child v1 is
+    searched, a later root child vi is skipped if an automorphism sigma of H
+    with sigma(v1) = vi is known.  Proof: the root forbids nothing, so the
+    finished subtree of v1 leaves an incumbent no larger than any
+    transversal through v1.  For a transversal T through vi, sigma^-1(T) is
+    a transversal through v1 of the same size, so child i holds nothing
+    smaller than the incumbent; the incumbent only changes on a strictly
+    smaller transversal, so skipping child i is a bound prune and changes
+    neither tau nor the witness.  The skipped vertex stays forbidden in the
+    later children, as if child i had been searched.  Automorphisms come
+    from :class:`~linhyp.core.Automorphisms` under a refinement budget (see
+    :func:`_first_orbit`); a search that finds none skips nothing.
     """
     masks = h.edge_masks()
     if not masks:
@@ -91,7 +162,9 @@ def tau(h: Hypergraph) -> TransversalResult:
     best_set = list(greedy)
     nodes = 0
 
-    def dfs(unc: int, chosen: list[int], forbidden: int) -> None:
+    def dfs(
+        unc: int, chosen: list[int], forbidden: int, root: bool = False
+    ) -> Optional[list[tuple[int, int]]]:
         nonlocal best_size, best_set, nodes
         nodes += 1
         if not unc:
@@ -137,6 +210,8 @@ def tau(h: Hypergraph) -> TransversalResult:
             pick ^= low
             order.append((-degs[low], low))
         order.sort()
+        if root:
+            return order  # tau runs the root's children itself
         banned = forbidden
         for _, bit in order:
             chosen.append(bit.bit_length() - 1)
@@ -144,7 +219,16 @@ def tau(h: Hypergraph) -> TransversalResult:
             chosen.pop()
             banned |= bit
 
-    dfs(everything, [], 0)
+    # the root's children, with the orbit rule; the root is node 1
+    order = dfs(everything, [], 0, True) or ()
+    banned, in_orbit = 0, None
+    for i, (_, bit) in enumerate(order):
+        v = bit.bit_length() - 1
+        if i == 1:
+            in_orbit = _first_orbit(h, order[0][1].bit_length() - 1, nodes - 1)
+        if in_orbit is None or not in_orbit(v):
+            dfs(everything & ~inc_at[bit], [v], banned)
+        banned |= bit
     result = TransversalResult(
         best_size, tuple(sorted(best_set)), nodes, "branch_and_bound"
     )

@@ -1,13 +1,15 @@
-"""Exhaustive and set-based reference computations on graphs, used only as
+"""Exhaustive and set-based reference computations on graphs and
+hypergraphs, and frozen copies of replaced library routines, used only as
 oracles by the tests."""
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
+from linhyp.catalog import TAU_OF_CLASS, order_class
 from linhyp.core import Graph, Hypergraph, HypergraphError
-from linhyp.deficiency import SpecialSet, estar
+from linhyp.deficiency import SpecialSet, deficiency, estar
 from linhyp.solver import GuardExceeded
 
 
@@ -88,3 +90,128 @@ def estar_bipartite_graph(host: Hypergraph, x: SpecialSet) -> Graph:
             if everts & set(emb.vertex_map):
                 pairs.append((i, k + j))
     return Graph(k + len(ext), pairs, bipartition=(range(k), range(k, k + len(ext))))
+
+
+def enumerate_special_sets(host: Hypergraph, guard_n: int = 30) -> list[SpecialSet]:
+    """Every special set the deficiency search visits (including empty)."""
+    seen: list[SpecialSet] = []
+    keys: set[tuple] = set()
+
+    def visit(ss: SpecialSet) -> None:
+        key = tuple(sorted((e.kind, e.edge_indices) for e in ss.embeddings))
+        if key not in keys:
+            keys.add(key)
+            seen.append(ss)
+
+    deficiency(host, guard_n=guard_n, visitor=visit)
+    return seen
+
+
+def x_transversal_size(x: SpecialSet) -> int:
+    """Minimum size of a set hitting every edge of every member copy."""
+    return sum(TAU_OF_CLASS[order_class(emb.kind)] for emb in x.embeddings)
+
+
+# A frozen copy of the isomorphism search that the individualize-and-refine
+# search replaced: three rounds of degree-profile colouring, then a
+# backtracking vertex map in a connected expansion order.
+
+def refine_colors(n: int, edges: Sequence[Sequence[int]], rounds: int = 3) -> list[int]:
+    # iterated degree-profile refinement: a vertex's color folds in the sorted
+    # color multisets of its incident edges
+    col = [0] * n
+    for _ in range(rounds):
+        ekeys = [tuple(sorted(col[v] for v in e)) for e in edges]
+        vkeys: list[tuple] = [(col[v],) for v in range(n)]
+        for i, e in enumerate(edges):
+            for v in e:
+                vkeys[v] = vkeys[v] + (ekeys[i],)
+        sig = [(k[0], tuple(sorted(k[1:]))) for k in vkeys]
+        remap = {s: i for i, s in enumerate(sorted(set(sig)))}
+        new = [remap[s] for s in sig]
+        if new == col:
+            break
+        col = new
+    return col
+
+
+def iso_backtrack(
+    n: int,
+    e1: Sequence[Sequence[int]],
+    e2: Sequence[Sequence[int]],
+) -> Optional[dict[int, int]]:
+    c1 = refine_colors(n, e1)
+    c2 = refine_colors(n, e2)
+    if sorted(c1) != sorted(c2):
+        return None
+    target: dict[frozenset, int] = {}
+    for e in e2:
+        target[frozenset(e)] = target.get(frozenset(e), 0) + 1
+    inc1: list[list[int]] = [[] for _ in range(n)]
+    for i, e in enumerate(e1):
+        for v in e:
+            inc1[v].append(i)
+    inc2: list[list[frozenset]] = [[] for _ in range(n)]
+    for e in e2:
+        fe = frozenset(e)
+        for v in e:
+            inc2[v].append(fe)
+    # connected expansion order: always extend next to the mapped region,
+    # preferring rarer colors, so edges complete (and prune) early
+    freq = {c: c1.count(c) for c in set(c1)}
+    order: list[int] = []
+    placed = [False] * n
+    adj1: list[set[int]] = [set() for _ in range(n)]
+    for e in e1:
+        for v in e:
+            adj1[v].update(e)
+    while len(order) < n:
+        best = None
+        for v in range(n):
+            if placed[v]:
+                continue
+            attached = sum(1 for u in adj1[v] if placed[u])
+            key = (-attached, freq[c1[v]], v)
+            if best is None or key < best[0]:
+                best = (key, v)
+        order.append(best[1])
+        placed[best[1]] = True
+    mapping: dict[int, int] = {}
+    used = [False] * n
+
+    def consistent(v: int) -> bool:
+        w = mapping[v]
+        for i in inc1[v]:
+            e = e1[i]
+            img = {mapping[u] for u in e if u in mapping}
+            if len(img) == len(e):
+                if frozenset(img) not in target:
+                    return False
+            else:
+                # a partially mapped edge must still fit inside some edge at w
+                if not any(img <= fe for fe in inc2[w]):
+                    return False
+        return True
+
+    def bt(i: int) -> bool:
+        if i == n:
+            got: dict[frozenset, int] = {}
+            for e in e1:
+                key = frozenset(mapping[u] for u in e)
+                got[key] = got.get(key, 0) + 1
+            return got == target
+        v = order[i]
+        for w in range(n):
+            if used[w] or c2[w] != c1[v]:
+                continue
+            mapping[v] = w
+            used[w] = True
+            if consistent(v) and bt(i + 1):
+                return True
+            del mapping[v]
+            used[w] = False
+        return False
+
+    if bt(0):
+        return dict(mapping)
+    return None

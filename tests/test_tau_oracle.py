@@ -5,7 +5,8 @@ rebuilds the uncovered-edge list at every node, counts degrees in dicts and
 bounds by a greedy packing of whole edges and ``ceil(|unc| / Delta)``.  The
 bitset ``tau`` must return the same tau, witness and method on every host of
 the corpus below, and may only explore fewer nodes, since its bounds are at
-least as strong and the branching is unchanged.
+least as strong, the branching is unchanged, and a root child skipped by the
+orbit rule holds nothing smaller than the incumbent.
 """
 
 from __future__ import annotations
@@ -14,14 +15,29 @@ from itertools import combinations
 
 import pytest
 
-from linhyp.algebra import affine_plane, affine_residual, g30, projective_plane, random_linear
+import linhyp.solver
+from linhyp.algebra import (
+    affine_plane,
+    affine_residual,
+    g30,
+    heawood,
+    projective_plane,
+    random_linear,
+)
 from linhyp.catalog import NAMES, special
-from linhyp.core import Hypergraph, is_linear, onh
+from linhyp.core import (
+    Automorphisms,
+    Hypergraph,
+    bipartite_complement,
+    is_linear,
+    onh,
+    shrink_remove,
+)
 from linhyp.probability import ShrinkConfig, shrink
 from linhyp.rng import SplitMix64
 from linhyp.solver import TransversalResult, tau
 
-from corpus import random_host
+from corpus import random_host, relabel
 
 
 def _oracle_greedy_cover(masks: list[int], n: int) -> list[int]:
@@ -112,6 +128,37 @@ def oracle_tau(h: Hypergraph) -> TransversalResult:
     return TransversalResult(best_size, tuple(sorted(best_set)), nodes, "branch_and_bound")
 
 
+def _symmetric() -> list[tuple[str, Hypergraph]]:
+    """Hosts with large automorphism groups, where the orbit rule can fire;
+    relabelled, so that the root's edge and children are not the
+    construction's own."""
+    hosts = []
+    for q in (2, 3, 4, 5):
+        hosts.append((f"AG(2,{q})-relabel", relabel(affine_plane(q), q)))
+        for s in range(1, q + 1):
+            hosts.append((f"AG(2,{q})-{s}-relabel", relabel(affine_residual(q, s), 10 * q + s)))
+    for q in (2, 3, 4):
+        hosts.append((f"PG(2,{q})", projective_plane(q)))
+    hosts.append(("onh(g30)-relabel", relabel(onh(g30()), 30)))
+    hosts.append(("onh(heawood-bc)", onh(bipartite_complement(heawood()))))
+    return hosts
+
+
+SYMMETRIC = _symmetric()
+
+# A cubic graph on 20 vertices, as a 2-uniform hypergraph: every vertex has
+# one refinement colour, yet vertex 0, the root's first child, lies in no
+# minimum transversal, so the only optima sit in the root's child 2 (vertex
+# 3, the other end of the root's edge).  Skipping a root child that no
+# automorphism maps onto child 1 loses them.
+REGULAR_RIGID = Hypergraph(20, [
+    (0, 3), (0, 10), (0, 19), (1, 7), (1, 10), (1, 13), (2, 3), (2, 5), (2, 17),
+    (3, 15), (4, 6), (4, 14), (4, 16), (5, 8), (5, 15), (6, 17), (6, 19), (7, 9),
+    (7, 18), (8, 11), (8, 12), (9, 16), (9, 18), (10, 13), (11, 12), (11, 13),
+    (12, 14), (14, 16), (15, 18), (17, 19),
+])
+
+
 def _corpus() -> list[tuple[str, Hypergraph]]:
     corpus = [(name, special(name)) for name in NAMES]
     for q in (2, 3, 4, 5):
@@ -119,6 +166,7 @@ def _corpus() -> list[tuple[str, Hypergraph]]:
         for s in range(1, q + 1):
             corpus.append((f"AG(2,{q})-{s}", affine_residual(q, s)))
     corpus.append(("onh(g30)", onh(g30())))
+    corpus += SYMMETRIC
     pg5 = projective_plane(5)
     for seed in range(4):
         corpus.append((f"shrink(PG(2,5),{seed})", shrink(pg5, ShrinkConfig(3, seed))))
@@ -136,6 +184,7 @@ def _corpus() -> list[tuple[str, Hypergraph]]:
         [0, 1, 8], [0, 10, 19], [1, 6, 14], [1, 9, 16], [2, 12, 13], [3, 5, 13],
         [3, 16, 19], [4, 7, 9], [8, 11, 17], [10, 11, 14], [10, 12, 23], [16, 20, 24],
     ])))
+    corpus.append(("regular-rigid", REGULAR_RIGID))
     corpus.append(("isolated", Hypergraph(9, [[0, 2, 4], [2, 5], [4, 5, 7], [0, 7]])))
     corpus.append(("isolated-dup", Hypergraph(6, [[1], [1], [3, 4], [3, 4]])))
     corpus.append(("edgeless", Hypergraph(5, [])))
@@ -157,6 +206,65 @@ def test_corpus_reaches_pruned_searches():
     # the corpus must hold searches where the stronger bounds cut nodes
     fewer = sum(tau(h).nodes_explored < oracle_tau(h).nodes_explored for _, h in CORPUS)
     assert fewer >= 20
+
+
+def _unpruned_tau(h: Hypergraph, monkeypatch) -> TransversalResult:
+    with monkeypatch.context() as m:
+        m.setattr(linhyp.solver, "_first_orbit", lambda h, first, spent: None)
+        return tau(h)
+
+
+def test_orbit_rule_keeps_tau_and_witness(monkeypatch):
+    # the same search without the orbit rule: same tau and witness, never
+    # fewer nodes; the rule must fire on the plane families
+    fired = []
+    for name, h in CORPUS:
+        got, plain = tau(h), _unpruned_tau(h, monkeypatch)
+        assert (got.tau, got.witness) == (plain.tau, plain.witness), name
+        assert got.nodes_explored <= plain.nodes_explored, name
+        if got.nodes_explored < plain.nodes_explored:
+            fired.append(name)
+    assert {"AG(2,5)", "AG(2,5)-1", "onh(g30)", "AG(2,5)-relabel", "onh(g30)-relabel"} <= set(fired)
+    assert len(fired) >= 6, fired
+
+
+def test_orbit_rule_node_counts(monkeypatch):
+    # nodes before the orbit rule: 5,503, 1,985 and 70,761
+    asked = []
+    mapping = Automorphisms.mapping
+    monkeypatch.setattr(
+        Automorphisms, "mapping", lambda self, u, v: asked.append(v) or mapping(self, u, v)
+    )
+    assert tau(affine_plane(5)).nodes_explored == 1986
+    # the orbit is closed under both automorphisms found, so of the four
+    # later root children only two need a search
+    assert len(asked) == 2
+    assert tau(affine_residual(5, 1)).nodes_explored == 650
+    assert tau(onh(g30())).nodes_explored == 28881
+
+
+def test_root_child_outside_the_first_orbit_is_searched(monkeypatch):
+    h = REGULAR_RIGID
+    autos = Automorphisms(h)
+    assert autos.mapping(0, 3) is None
+    assert autos.equitable and len(set(autos.colors)) == 1
+    assert h.edges[0] == (0, 3)
+    t = tau(h).tau
+    assert tau(shrink_remove(h, [0], [])).tau + 1 > t  # no optimum through 0
+    asked = []
+    mapping = Automorphisms.mapping
+
+    def spy(self, u, v):
+        found = mapping(self, u, v)
+        asked.append((u, v, found))
+        return found
+
+    monkeypatch.setattr(Automorphisms, "mapping", spy)
+    got = tau(h)
+    assert asked and asked[0][:2] == (0, 3) and all(f is None for *_, f in asked)
+    want = oracle_tau(h)
+    assert (got.tau, got.witness) == (want.tau, want.witness)
+    assert 3 in got.witness and 0 not in got.witness
 
 
 @pytest.mark.parametrize("name,h", CORPUS, ids=[name for name, _ in CORPUS])
