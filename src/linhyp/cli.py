@@ -1,8 +1,10 @@
 """Command line surface: gen | solve | defic | dual | prob | verify.
 
-Every JSON output embeds a run manifest (argv, version, seeds, input
-hashes, elapsed milliseconds).  Exit codes: 0 success / all pass, 1 check
-failed, 2 usage error, 3 guard exceeded.
+argparse does the dispatch: each leaf command binds its own handler with
+``set_defaults(func=...)``, and ``main`` calls it.  Every JSON output embeds
+a run manifest (argv, version, seeds, input hashes, elapsed milliseconds).
+Exit codes: 0 success / all pass, 1 check failed, 2 usage error, 3 guard
+exceeded.
 """
 
 from __future__ import annotations
@@ -53,6 +55,18 @@ GUARD_ENV = {
     "defic_n": ("LINHYP_GUARD_DEFIC_N", 30),
 }
 
+# gen's families: the constructor and the options it takes, in argument order.
+FAMILIES = {
+    "ag": (algebra.affine_plane, ("q",)),
+    "pg": (algebra.projective_plane, ("q",)),
+    "residual": (algebra.affine_residual, ("q", "s")),
+    "lk": (algebra.l_k, ("k",)),
+    "calF": (algebra.family_f, ("i",)),
+    "special": (catalog.special, ("name",)),
+    "fano-complement": (algebra.fano_complement, ()),
+    "random": (algebra.random_linear, ("n", "k", "max_deg", "m_target", "seed")),
+}
+
 
 def _guard(name: str) -> int:
     env, default = GUARD_ENV[name]
@@ -76,8 +90,28 @@ def _manifest(argv, t0: float, inputs: dict[str, str] | None = None, seed=None):
     return out
 
 
-def _hash_file(path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+def _load(path) -> tuple[Hypergraph, dict[str, str]]:
+    """The ``.hg`` file at ``path``, with its manifest ``input_sha256`` entry."""
+    h = hgio.load(path)
+    return h, {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()}
+
+
+def _write_hg(args, argv, t0: float, h: Hypergraph, comment: str,
+              stdout_comment: str | None, inputs=None) -> int:
+    """Write ``h`` to ``--out`` and emit a summary, or print its ``.hg`` text."""
+    if not args.out:
+        sys.stdout.write(hgio.dumps(h, comment=stdout_comment))
+        return EXIT_OK
+    hgio.dump(h, args.out, comment=comment)
+    _emit(
+        {
+            "written": str(args.out),
+            "n": h.n,
+            "m": h.m,
+            "manifest": _manifest(argv, t0, inputs, args.seed),
+        }
+    )
+    return EXIT_OK
 
 
 def _emit(payload: dict) -> None:
@@ -91,42 +125,6 @@ def _jsonable(obj):
     if isinstance(obj, frozenset):
         return sorted(obj)
     raise TypeError(f"not JSON serializable: {type(obj)}")
-
-
-def _need(args, fam: str, *names: str) -> None:
-    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
-    if missing:
-        raise HypergraphError(f"family {fam!r} requires {', '.join(missing)}")
-
-
-def _gen_family(args) -> Hypergraph:
-    fam = args.family
-    if fam == "ag":
-        _need(args, fam, "q")
-        return algebra.affine_plane(args.q)
-    if fam == "pg":
-        _need(args, fam, "q")
-        return algebra.projective_plane(args.q)
-    if fam == "residual":
-        _need(args, fam, "q", "s")
-        return algebra.affine_residual(args.q, args.s)
-    if fam == "lk":
-        _need(args, fam, "k")
-        return algebra.l_k(args.k)
-    if fam == "calF":
-        _need(args, fam, "i")
-        return algebra.family_f(args.i)
-    if fam == "special":
-        _need(args, fam, "name")
-        return catalog.special(args.name)
-    if fam == "fano-complement":
-        return algebra.fano_complement()
-    if fam == "random":
-        _need(args, fam, "n", "k", "max_deg", "m_target", "seed")
-        return algebra.random_linear(
-            args.n, args.k, args.max_deg, args.m_target, args.seed
-        )
-    raise HypergraphError(f"unknown family {fam!r}")
 
 
 def _dot_incidence(h: Hypergraph) -> str:
@@ -143,28 +141,20 @@ def _dot_incidence(h: Hypergraph) -> str:
 
 def cmd_gen(args, argv) -> int:
     t0 = time.perf_counter()
-    h = _gen_family(args)
+    make, names = FAMILIES[args.family]
+    missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
+    if missing:
+        raise HypergraphError(f"family {args.family!r} requires {', '.join(missing)}")
+    h = make(*(getattr(args, n) for n in names))
     comment = f"generated by linhyp gen --family {args.family}"
     if args.dot:
         Path(args.dot).write_text(_dot_incidence(h), encoding="ascii")
-    if args.out:
-        hgio.dump(h, args.out, comment=comment)
-        _emit(
-            {
-                "written": str(args.out),
-                "n": h.n,
-                "m": h.m,
-                "manifest": _manifest(argv, t0, seed=args.seed),
-            }
-        )
-    else:
-        sys.stdout.write(hgio.dumps(h, comment=comment))
-    return EXIT_OK
+    return _write_hg(args, argv, t0, h, comment, comment)
 
 
 def cmd_solve(args, argv) -> int:
     t0 = time.perf_counter()
-    h = hgio.load(args.file)
+    h, inputs = _load(args.file)
     limit = _guard("solve_n")
     if h.n > limit:
         raise GuardExceeded(
@@ -178,7 +168,7 @@ def cmd_solve(args, argv) -> int:
             "witness": [v + 1 for v in res.witness],
             "nodes": res.nodes_explored,
             "method": res.method,
-            "manifest": _manifest(argv, t0, {str(args.file): _hash_file(args.file)}),
+            "manifest": _manifest(argv, t0, inputs),
         }
     )
     return EXIT_OK
@@ -186,7 +176,7 @@ def cmd_solve(args, argv) -> int:
 
 def cmd_defic(args, argv) -> int:
     t0 = time.perf_counter()
-    h = hgio.load(args.file)
+    h, inputs = _load(args.file)
     value, xset = deficiency(h, guard_n=_guard("defic_n"))
     counts = xset.partition_counts()
     _emit(
@@ -198,7 +188,7 @@ def cmd_defic(args, argv) -> int:
             ],
             "estar": sorted(i + 1 for i in estar(h, xset)),
             "partition_counts": {f"X{k}": v for k, v in counts.items()},
-            "manifest": _manifest(argv, t0, {str(args.file): _hash_file(args.file)}),
+            "manifest": _manifest(argv, t0, inputs),
         }
     )
     return EXIT_OK
@@ -206,7 +196,7 @@ def cmd_defic(args, argv) -> int:
 
 def cmd_dual(args, argv) -> int:
     t0 = time.perf_counter()
-    h = hgio.load(args.file)
+    h, inputs = _load(args.file)
     g = dual_graph(h)
     alpha = max_matching_general(g).size
     t = tau(h).tau
@@ -217,31 +207,33 @@ def cmd_dual(args, argv) -> int:
             "alpha_prime": alpha,
             "tau": t,
             "identity_holds": holds,
-            "manifest": _manifest(argv, t0, {str(args.file): _hash_file(args.file)}),
+            "manifest": _manifest(argv, t0, inputs),
         }
     )
     return EXIT_OK if holds else EXIT_CHECK_FAILED
 
 
-def cmd_prob(args, argv) -> int:
+def cmd_prob_bound(args, argv) -> int:
     t0 = time.perf_counter()
-    sub = args.prob_cmd
-    if sub == "bound":
-        value = final_bound(args.k, args.n, args.c)
-        _emit(
-            {
-                "k": args.k,
-                "n": args.n,
-                "c": args.c,
-                "bound": value,
-                "less_than_one": value < 1,
-                "manifest": _manifest(argv, t0),
-            }
-        )
-        return EXIT_OK
-    if sub == "threshold":
-        scan = threshold_scan(args.k_lo, args.k_hi, coefficient=args.coefficient)
-        payload = {
+    value = final_bound(args.k, args.n, args.c)
+    _emit(
+        {
+            "k": args.k,
+            "n": args.n,
+            "c": args.c,
+            "bound": value,
+            "less_than_one": value < 1,
+            "manifest": _manifest(argv, t0),
+        }
+    )
+    return EXIT_OK
+
+
+def cmd_prob_threshold(args, argv) -> int:
+    t0 = time.perf_counter()
+    scan = threshold_scan(args.k_lo, args.k_hi, coefficient=args.coefficient)
+    _emit(
+        {
             "coefficient": args.coefficient,
             "window": list(scan.window),
             "threshold": scan.threshold,
@@ -249,152 +241,140 @@ def cmd_prob(args, argv) -> int:
             "envelope_threshold": coefficient_threshold(args.coefficient),
             "manifest": _manifest(argv, t0),
         }
-        _emit(payload)
-        return EXIT_OK
-    if sub == "envelope":
-        mx, argmax = claim_c3_envelope()
-        _emit({"max": mx, "argmax": argmax, "manifest": _manifest(argv, t0)})
-        return EXIT_OK
-    if sub == "shrink":
-        h = hgio.load(args.file)
-        out = shrink(h, ShrinkConfig(k=args.k, seed=args.seed))
-        if args.out:
-            hgio.dump(out, args.out, comment=f"shrunk with k={args.k} seed={args.seed}")
-            _emit(
-                {
-                    "written": str(args.out),
-                    "n": out.n,
-                    "m": out.m,
-                    "manifest": _manifest(
-                        argv, t0, {str(args.file): _hash_file(args.file)}, args.seed
-                    ),
-                }
-            )
-        else:
-            sys.stdout.write(hgio.dumps(out))
-        return EXIT_OK
-    if sub == "mc":
-        prof = mc_tau_profile(args.p, args.trials, args.seed)
-        _emit(
-            {
-                "p": prof.p,
-                "k": prof.k,
-                "trials": prof.trials,
-                "tau_min": prof.tau_min,
-                "tau_mean": prof.tau_mean,
-                "tau_max": prof.tau_max,
-                "frac_exceeding_bound": prof.frac_exceeding_bound,
-                "manifest": _manifest(argv, t0, seed=args.seed),
-            }
-        )
-        return EXIT_OK
-    raise HypergraphError(f"unknown prob subcommand {sub!r}")
+    )
+    return EXIT_OK
 
 
-def _builtin_corpus() -> list[tuple[str, Hypergraph]]:
-    corpus: list[tuple[str, Hypergraph]] = []
-    for name in catalog.NAMES:
-        corpus.append((name, catalog.special(name)))
-    corpus.append(("AG(2,3)", algebra.affine_plane(3)))
-    for s in range(1, 5):
-        corpus.append((f"residual(4,{s})", algebra.affine_residual(4, s)))
-    for i in range(3):
-        corpus.append((f"family_F({i})", algebra.family_f(i)))
-    return corpus
-
-
-def cmd_verify(args, argv) -> int:
+def cmd_prob_envelope(args, argv) -> int:
     t0 = time.perf_counter()
-    sub = args.verify_cmd
-    if sub == "catalog":
-        reports = catalog_report()
-        payload = {"subjects": {}, "all_passed": True}
-        for kind, rep in reports.items():
-            identity = defic_identity_check(kind)
-            entry = {
-                "checks": [
-                    {
-                        "prop": c.prop,
-                        "applicable": c.applicable,
-                        "passed": c.passed,
-                        **({"witness": c.witness} if c.witness else {}),
-                    }
-                    for c in rep.checks
-                ],
-                "defic_identity": identity,
-                "passed": rep.all_passed and identity,
-            }
-            payload["subjects"][kind] = entry
-            payload["all_passed"] &= entry["passed"]
-        payload["manifest"] = _manifest(argv, t0)
-        _emit(payload)
-        return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
-    if sub == "bounds":
-        if args.corpus == "builtin":
-            if args.bound == "TD37":
-                corpus = [
-                    ("heawood-bipartite-complement",
-                     bipartite_complement(algebra.heawood())),
-                    ("g30", algebra.g30()),
-                ]
-            else:
-                corpus = _builtin_corpus()
-        else:
-            corpus = []
-            for p in sorted(Path(args.corpus).glob("*.hg")):
-                corpus.append((p.name, hgio.load(p)))
-        results = []
-        all_ok = True
-        for name, h in corpus:
-            try:
-                res = bound_check(h, args.bound)
-            except HypothesisViolation as exc:
-                results.append({"name": name, "skipped": str(exc)})
-                continue
-            results.append(
+    mx, argmax = claim_c3_envelope()
+    _emit({"max": mx, "argmax": argmax, "manifest": _manifest(argv, t0)})
+    return EXIT_OK
+
+
+def cmd_prob_shrink(args, argv) -> int:
+    t0 = time.perf_counter()
+    h, inputs = _load(args.file)
+    out = shrink(h, ShrinkConfig(k=args.k, seed=args.seed))
+    comment = f"shrunk with k={args.k} seed={args.seed}"
+    return _write_hg(args, argv, t0, out, comment, None, inputs)
+
+
+def cmd_prob_mc(args, argv) -> int:
+    t0 = time.perf_counter()
+    prof = mc_tau_profile(args.p, args.trials, args.seed)
+    _emit(
+        {
+            "p": prof.p,
+            "k": prof.k,
+            "trials": prof.trials,
+            "tau_min": prof.tau_min,
+            "tau_mean": prof.tau_mean,
+            "tau_max": prof.tau_max,
+            "frac_exceeding_bound": prof.frac_exceeding_bound,
+            "manifest": _manifest(argv, t0, seed=args.seed),
+        }
+    )
+    return EXIT_OK
+
+
+def cmd_verify_catalog(args, argv) -> int:
+    t0 = time.perf_counter()
+    payload = {"subjects": {}, "all_passed": True}
+    for kind, rep in catalog_report().items():
+        identity = defic_identity_check(kind)
+        entry = {
+            "checks": [
                 {
-                    "name": name,
-                    "holds": res.holds,
-                    "tau": res.tau,
-                    "bound": res.bound,
-                    "slack": res.slack,
+                    "prop": c.prop,
+                    "applicable": c.applicable,
+                    "passed": c.passed,
+                    **({"witness": c.witness} if c.witness else {}),
                 }
-            )
-            all_ok &= res.holds
-        _emit(
+                for c in rep.checks
+            ],
+            "defic_identity": identity,
+            "passed": rep.all_passed and identity,
+        }
+        payload["subjects"][kind] = entry
+        payload["all_passed"] &= entry["passed"]
+    payload["manifest"] = _manifest(argv, t0)
+    _emit(payload)
+    return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
+
+
+def _bounds_corpus(args) -> list[tuple[str, Hypergraph]]:
+    """The named hosts ``verify bounds`` checks: a directory's, or the builtin ones."""
+    if args.corpus != "builtin":
+        paths = sorted(Path(args.corpus).glob("*.hg"))
+        if not paths:
+            raise ArgumentError(f"--corpus {args.corpus!r} is not a directory holding .hg files")
+        return [(p.name, hgio.load(p)) for p in paths]
+    if args.bound == "TD37":
+        return [
+            ("heawood-bipartite-complement", bipartite_complement(algebra.heawood())),
+            ("g30", algebra.g30()),
+        ]
+    return (
+        [(name, catalog.special(name)) for name in catalog.NAMES]
+        + [("AG(2,3)", algebra.affine_plane(3))]
+        + [(f"residual(4,{s})", algebra.affine_residual(4, s)) for s in range(1, 5)]
+        + [(f"family_F({i})", algebra.family_f(i)) for i in range(3)]
+    )
+
+
+def cmd_verify_bounds(args, argv) -> int:
+    t0 = time.perf_counter()
+    results = []
+    all_ok = True
+    for name, h in _bounds_corpus(args):
+        try:
+            res = bound_check(h, args.bound)
+        except HypothesisViolation as exc:
+            results.append({"name": name, "skipped": str(exc)})
+            continue
+        results.append(
             {
-                "bound": args.bound,
-                "results": results,
-                "all_passed": all_ok,
-                "manifest": _manifest(argv, t0),
+                "name": name,
+                "holds": res.holds,
+                "tau": res.tau,
+                "bound": res.bound,
+                "slack": res.slack,
             }
         )
-        return EXIT_OK if all_ok else EXIT_CHECK_FAILED
-    if sub == "mainyy":
-        oks = {}
-        rows = []
-        for s in range(1, args.q + 1):
-            h = algebra.affine_residual(args.q, s)
-            t = tau(h).tau
-            rows.append((s, t, h.n, h.m, Fraction(h.n + h.m, args.q + 1)))
-            oks[s] = mainyy_identities_hold(args.q, s, h, t)
-        if args.table:
-            q = args.q
-            print(f"residuals of the order-{q} affine plane")
-            print(f"{'|X|':>4} {'tau':>4} {'n':>4} {'m':>4} {'(n+m)/(q+1)':>12}")
-            for s, t, n, m, ratio in rows:
-                print(f"{s:>4} {t:>4} {n:>4} {m:>4} {str(ratio):>12}")
-            return EXIT_OK if all(oks.values()) else EXIT_CHECK_FAILED
-        _emit(
-            {
-                "q": args.q,
-                "per_s": oks,
-                "all_passed": all(oks.values()),
-                "manifest": _manifest(argv, t0),
-            }
-        )
-        return EXIT_OK if all(oks.values()) else EXIT_CHECK_FAILED
-    raise HypergraphError(f"unknown verify subcommand {sub!r}")
+        all_ok &= res.holds
+    _emit(
+        {
+            "bound": args.bound,
+            "results": results,
+            "all_passed": all_ok,
+            "manifest": _manifest(argv, t0),
+        }
+    )
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+
+
+def cmd_verify_mainyy(args, argv) -> int:
+    t0 = time.perf_counter()
+    q = args.q
+    if q < 2:
+        raise ArgumentError(f"--q must be at least 2, not {q}")
+    oks = {}
+    rows = []
+    for s in range(1, q + 1):
+        h = algebra.affine_residual(q, s)
+        t = tau(h).tau
+        rows.append((s, t, h.n, h.m, Fraction(h.n + h.m, q + 1)))
+        oks[s] = mainyy_identities_hold(q, s, h, t)
+    all_ok = all(oks.values())
+    if args.table:
+        print(f"residuals of the order-{q} affine plane")
+        print(f"{'|X|':>4} {'tau':>4} {'n':>4} {'m':>4} {'(n+m)/(q+1)':>12}")
+        for s, t, n, m, ratio in rows:
+            print(f"{s:>4} {t:>4} {n:>4} {m:>4} {str(ratio):>12}")
+    else:
+        _emit({"q": q, "per_s": oks, "all_passed": all_ok, "manifest": _manifest(argv, t0)})
+    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -405,20 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     gen = sub.add_parser("gen", help="generate a named family as .hg")
-    gen.add_argument(
-        "--family",
-        required=True,
-        choices=[
-            "ag",
-            "pg",
-            "residual",
-            "lk",
-            "calF",
-            "special",
-            "fano-complement",
-            "random",
-        ],
-    )
+    gen.add_argument("--family", required=True, choices=list(FAMILIES))
     gen.add_argument("--q", type=int, help="plane order")
     gen.add_argument("--s", type=int, help="residual deletion count")
     gen.add_argument("--k", type=int, help="uniformity")
@@ -450,32 +417,36 @@ def build_parser() -> argparse.ArgumentParser:
     pb.add_argument("--k", type=int, required=True)
     pb.add_argument("--n", type=int, required=True)
     pb.add_argument("--c", type=float, required=True)
+    pb.set_defaults(func=cmd_prob_bound)
     pt = psub.add_parser("threshold")
     pt.add_argument("--k-lo", type=int, dest="k_lo", default=2700)
     pt.add_argument("--k-hi", type=int, dest="k_hi", default=2800)
     pt.add_argument("--coefficient", type=float, default=5.0)
-    pe = psub.add_parser("envelope")
+    pt.set_defaults(func=cmd_prob_threshold)
+    psub.add_parser("envelope").set_defaults(func=cmd_prob_envelope)
     ps = psub.add_parser("shrink")
     ps.add_argument("file")
     ps.add_argument("--k", type=int, required=True)
     ps.add_argument("--seed", type=int, required=True)
     ps.add_argument("--out")
+    ps.set_defaults(func=cmd_prob_shrink)
     pm = psub.add_parser("mc")
     pm.add_argument("--p", type=int, required=True, choices=(3, 5, 7))
     pm.add_argument("--trials", type=int, required=True)
     pm.add_argument("--seed", type=int, required=True)
-    prob.set_defaults(func=cmd_prob)
+    pm.set_defaults(func=cmd_prob_mc)
 
     ver = sub.add_parser("verify", help="catalog and bound verification")
     vsub = ver.add_subparsers(dest="verify_cmd", required=True)
-    vsub.add_parser("catalog")
+    vsub.add_parser("catalog").set_defaults(func=cmd_verify_catalog)
     vb = vsub.add_parser("bounds")
     vb.add_argument("--corpus", default="builtin")
     vb.add_argument("--bound", required=True, choices=BOUND_IDS)
+    vb.set_defaults(func=cmd_verify_bounds)
     vm = vsub.add_parser("mainyy")
     vm.add_argument("--q", type=int, required=True)
     vm.add_argument("--table", action="store_true", help="print the residual table instead of JSON")
-    ver.set_defaults(func=cmd_verify)
+    vm.set_defaults(func=cmd_verify_mainyy)
 
     return ap
 

@@ -476,8 +476,8 @@ def deficiency(
     its vertex set (H4's one edge too, of any size).  Ties on the value break
     toward the lexicographically least edge-index footprint.  The value is
     never below 0 (the empty set is admissible).  If given, ``visitor`` is
-    called on every special set the search forms, the empty set twice:
-    before the search and at its root.
+    called once on every special set the search forms, in search order; the
+    first is the empty set, at the root.
     """
     if host.n > guard_n:
         raise GuardExceeded(f"n={host.n} exceeds deficiency guard {guard_n}")
@@ -490,8 +490,6 @@ def deficiency(
     weights = [DEFIC_WEIGHT[order_class(emb.kind)] for emb in cands]
 
     best_value, best_chosen, best_own = 0, (), 0
-    if visitor:
-        visitor(SpecialSet(()))
 
     def dfs(idx: int, chosen: tuple, vmask: int, touch: int, own: int, weight: int) -> None:
         nonlocal best_value, best_chosen, best_own

@@ -1,5 +1,6 @@
 """Command-line surface: formats, exit codes, determinism."""
 
+import argparse
 import hashlib
 import json
 
@@ -297,3 +298,101 @@ def test_solve_edgeless_file(tmp_path, capsys):
     code, payload, _ = run_json(capsys, "solve", str(path))
     assert code == EXIT_OK
     assert payload["tau"] == 0 and payload["witness"] == []
+
+
+# One value per gen option; each family takes the ones FAMILIES names.
+GEN_VALUES = {
+    "q": 3, "s": 2, "k": 4, "i": 2, "name": "H10",
+    "n": 12, "max_deg": 2, "m_target": 5, "seed": 7,
+}
+
+
+def _gen_options(names):
+    return [
+        tok
+        for n in names
+        for tok in (f"--{n.replace('_', '-')}", str(GEN_VALUES[n]))
+    ]
+
+
+@pytest.mark.parametrize("family", list(cli.FAMILIES))
+def test_gen_family_matches_constructor(family, capsys):
+    make, names = cli.FAMILIES[family]
+    code, out, err = run(capsys, "gen", "--family", family, *_gen_options(names))
+    assert (code, err) == (EXIT_OK, "")
+    want = make(*(GEN_VALUES[n] for n in names))
+    assert out == hgio.dumps(want, comment=f"generated by linhyp gen --family {family}")
+
+
+@pytest.mark.parametrize(
+    "family", [f for f, (_, names) in cli.FAMILIES.items() if names]
+)
+def test_gen_family_lists_missing_options_in_order(family, capsys):
+    _, names = cli.FAMILIES[family]
+    code, out, err = run(capsys, "gen", "--family", family)
+    assert (code, out) == (EXIT_USAGE, "")
+    flags = ", ".join(f"--{n.replace('_', '-')}" for n in names)
+    assert err == f"error: family {family!r} requires {flags}\n"
+
+
+def _leaves(parser, path=()):
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, child in action.choices.items():
+            yield from _leaves(child, path + (name,))
+
+
+def test_every_leaf_command_has_its_own_handler():
+    leaves = dict(_leaves(cli.build_parser()))
+    assert sorted(" ".join(p) for p in leaves) == sorted(
+        ["gen", "solve", "defic", "dual"]
+        + [f"prob {x}" for x in ("bound", "threshold", "envelope", "shrink", "mc")]
+        + [f"verify {x}" for x in ("catalog", "bounds", "mainyy")]
+    )
+    handlers = [leaf.get_default("func") for leaf in leaves.values()]
+    assert all(callable(h) for h in handlers)
+    assert len(set(handlers)) == len(handlers)
+
+
+@pytest.mark.parametrize("group", ["prob", "verify"])
+def test_bare_group_is_usage_error(group, capsys):
+    code, out, _ = run(capsys, group)
+    assert (code, out) == (EXIT_USAGE, "")
+
+
+@pytest.mark.parametrize("kind", ["missing", "file", "empty"])
+def test_verify_bounds_corpus_without_hosts_is_usage_error(kind, tmp_path, capsys):
+    corpus = tmp_path / kind
+    if kind == "file":
+        corpus.write_text("p hg 1 0\n")
+    elif kind == "empty":
+        corpus.mkdir()
+    code, out, err = run(
+        capsys, "verify", "bounds", "--bound", "K23", "--corpus", str(corpus)
+    )
+    assert (code, out) == (EXIT_USAGE, "")
+    assert str(corpus) in err
+
+
+def test_verify_bounds_corpus_of_skipped_hosts_reports_each(tmp_path, capsys):
+    for name in ("H4", "H10"):
+        run(capsys, "gen", "--family", "special", "--name", name,
+            "--out", str(tmp_path / f"{name}.hg"))
+    code, payload, _ = run_json(
+        capsys, "verify", "bounds", "--bound", "TD37", "--corpus", str(tmp_path)
+    )
+    assert code == EXIT_OK
+    assert payload["results"] == [
+        {"name": "H10.hg", "skipped": "TD37 takes a graph"},
+        {"name": "H4.hg", "skipped": "TD37 takes a graph"},
+    ]
+
+
+@pytest.mark.parametrize("q", ["-1", "0", "1"])
+@pytest.mark.parametrize("table", [(), ("--table",)])
+def test_verify_mainyy_order_below_two_is_usage_error(q, table, capsys):
+    code, out, err = run(capsys, "verify", "mainyy", "--q", q, *table)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: --q must be at least 2, not {q}\n"

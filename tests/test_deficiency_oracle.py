@@ -6,7 +6,8 @@ edge, a fresh ``SpecialSet`` and a full rescore at every search node, and a
 bound that subtracts 13 for each E*(X) edge no compatible candidate can
 absorb.  The mask-based search must return the same value and argmax, visit
 the same special sets in the same order, and agree on E*(X) and defic of
-every visited set.  The oracle also counts its prunes, so the corpus is checked
+every visited set.  The oracle keeps the replaced code's extra visit of the
+empty set before its search; the search itself visits each set once.  The oracle also counts its prunes, so the corpus is checked
 to reach pruned searches.
 """
 
@@ -184,10 +185,19 @@ def test_deficiency_matches_frozen_oracle(name, host):
     assert value == want_value
     assert best == want_best
     assert best.footprint() == want_best.footprint()
-    assert seen == want_seen
+    assert want_seen[0] == SpecialSet(())
+    assert seen == want_seen[1:]
     for x in {x.embeddings: x for x in seen}.values():
         assert estar(host, x) == oracle_estar(host, x)
         assert defic_of_set(host, x) == oracle_defic_of_set(host, x)
+
+
+def test_visitor_sees_each_special_set_once():
+    for name, host in CORPUS:
+        _, _, seen = _visits(deficiency, host)
+        keys = [frozenset(x.embeddings) for x in seen]
+        assert keys[0] == frozenset(), name
+        assert len(set(keys)) == len(keys), name
 
 
 def test_corpus_reaches_hard_cases():
