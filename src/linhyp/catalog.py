@@ -68,7 +68,3 @@ def special(name: str) -> Hypergraph:
     if h.n != n or h.m != m:
         raise AssertionError(f"catalog entry {name} fails shape check")
     return h
-
-
-def all_specials() -> dict[str, Hypergraph]:
-    return {name: special(name) for name in NAMES}

@@ -8,7 +8,6 @@ them.  All operations are pure functions returning new values.
 
 from __future__ import annotations
 
-import itertools
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -182,10 +181,6 @@ class Graph:
 
     def degrees(self) -> list[int]:
         return [len(nb) for nb in self.adj]
-
-    def adjacency(self) -> list[set[int]]:
-        """Each vertex's neighbours as a fresh set."""
-        return [set(nb) for nb in self.adj]
 
 
 def is_k_uniform(h: Hypergraph, k: int) -> bool:
@@ -531,16 +526,3 @@ def graph_isomorphic(g1: Graph, g2: Graph) -> bool:
     if g1.n != g2.n or g1.m != g2.m:
         return False
     return _Union(g1.n, g1.edges, g2.edges).search([0] * (2 * g1.n))[0] is not None
-
-
-def complete_graph(n: int) -> Graph:
-    return Graph(n, list(itertools.combinations(range(n), 2)))
-
-
-def cycle_graph(n: int) -> Graph:
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def complete_bipartite(a: int, b: int) -> Graph:
-    edges = [(i, a + j) for i in range(a) for j in range(b)]
-    return Graph(a + b, edges, bipartition=(range(a), range(a, a + b)))

@@ -185,38 +185,44 @@ def max_matching_general(g: Graph) -> Matching:
                     match[v] = w
                     match[w] = v
                     break
+    # search state, allocated once.  No vertex is the root of two searches,
+    # so a search from r marks the parents it set and the vertices it queued
+    # with r and needs no reset; only the bases it moved are put back.
     parent = [-1] * n
+    grown_by = [-1] * n
+    queued_by = [-1] * n
     base = list(range(n))
+    moved: list[int] = []
 
-    def find_lca(root_of: list[int], a: int, b: int) -> int:
-        used = [False] * n
+    def find_lca(a: int, b: int) -> int:
+        used = set()
         while True:
             a = base[a]
-            used[a] = True
+            used.add(a)
             if match[a] == -1:
                 break
             a = parent[match[a]]
         while True:
             b = base[b]
-            if used[b]:
+            if b in used:
                 return b
             b = parent[match[b]]
 
-    def mark_path(in_blossom: list[bool], v: int, b: int, child: int) -> None:
+    def mark_path(in_blossom: set[int], v: int, b: int, child: int, root: int) -> None:
         while base[v] != b:
-            in_blossom[base[v]] = True
-            in_blossom[base[match[v]]] = True
+            in_blossom.add(base[v])
+            in_blossom.add(base[match[v]])
             parent[v] = child
+            grown_by[v] = root
             child = match[v]
             v = parent[match[v]]
 
     def find_augmenting(root: int) -> int:
-        nonlocal base, parent
-        parent = [-1] * n
-        base = list(range(n))
-        in_queue = [False] * n
+        for u in moved:
+            base[u] = u
+        moved.clear()
         queue = [root]
-        in_queue[root] = True
+        queued_by[root] = root
         head = 0
         while head < len(queue):
             v = queue[head]
@@ -224,25 +230,29 @@ def max_matching_general(g: Graph) -> Matching:
             for w in adj[v]:
                 if base[v] == base[w] or match[v] == w:
                     continue
-                if w == root or (match[w] != -1 and parent[match[w]] != -1):
-                    # odd cycle: contract the blossom
-                    b = find_lca(base, v, w)
-                    in_blossom = [False] * n
-                    mark_path(in_blossom, v, b, w)
-                    mark_path(in_blossom, w, b, v)
-                    for u in range(n):
-                        if in_blossom[base[u]]:
+                if w == root or (match[w] != -1 and grown_by[match[w]] == root):
+                    # odd cycle: contract the blossom.  It lies in the tree:
+                    # the queued vertices and their partners (every odd
+                    # vertex's partner is queued; only the root is unmatched)
+                    b = find_lca(v, w)
+                    in_blossom: set[int] = set()
+                    mark_path(in_blossom, v, b, w, root)
+                    mark_path(in_blossom, w, b, v, root)
+                    for u in sorted({*queue, *map(match.__getitem__, queue[1:])}):
+                        if base[u] in in_blossom:
                             base[u] = b
-                            if not in_queue[u]:
-                                in_queue[u] = True
+                            moved.append(u)
+                            if queued_by[u] != root:
+                                queued_by[u] = root
                                 queue.append(u)
-                elif parent[w] == -1:
+                elif grown_by[w] != root:
                     parent[w] = v
+                    grown_by[w] = root
                     if match[w] == -1:
                         return w  # augmenting path found
-                    if not in_queue[match[w]]:
+                    if queued_by[match[w]] != root:
                         queue.append(match[w])
-                        in_queue[match[w]] = True
+                        queued_by[match[w]] = root
         return -1
 
     for v in range(n):

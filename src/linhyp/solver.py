@@ -8,7 +8,9 @@ of n <= 60 fits in machine words of a Python int.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
+from math import lcm
 from typing import Callable, Optional
 
 from .core import Automorphisms, CertificateError, Graph, Hypergraph, onh, vertex_mask
@@ -75,6 +77,13 @@ def _greedy_cover(inc: list[int], uncovered: int) -> list[int]:
     return cover
 
 
+@lru_cache(maxsize=16)
+def _fractional_weights(delta: int) -> tuple[int, tuple[int, ...]]:
+    """L = lcm(1..delta) and the integer weights L // d, indexed by d."""
+    big = lcm(*range(1, delta + 1))
+    return big, (0,) + tuple(big // d for d in range(1, delta + 1))
+
+
 def _first_orbit(h: Hypergraph, first: int, spent: int) -> Optional[Callable[[int], bool]]:
     """The orbit test for the root children after the first, ``first``.
 
@@ -124,15 +133,25 @@ def tau(h: Hypergraph) -> TransversalResult:
     (no allowed vertex left), packs greedily into disjoint sets both the
     allowed parts and the whole edges, and picks the first allowed part of
     minimum size.  Lower bounds: the larger packing (greedy packing depends
-    on order, so neither packing dominates the other), then the top-degree
-    bound, the least t such that the t largest residual degrees of allowed
-    vertices sum to at least the number of uncovered edges.  Branching: on
-    the picked part's vertices in descending residual degree (tie: lowest
-    id); each later branch forbids the vertices tried before it.  The upper
-    bound is seeded by a greedy cover.  Every bound holds in its whole
-    subtree, so tau and the witness (the DFS's first optimum) do not depend
-    on the bounds; ``nodes_explored`` is a work counter that a stronger bound
-    lowers.
+    on order, so neither packing dominates the other), then a fractional
+    packing.  One pass over the allowed vertices ORs their incidence masks
+    per residual degree d; walking d down from Delta(H), the first d whose
+    OR meets an uncovered edge e is D(e), the largest residual degree of
+    e's allowed vertices.  With y_e = 1/D(e), an allowed vertex of degree d
+    carries at most d * 1/d = 1, so by LP duality the residual needs at
+    least sum(y_e) vertices (the fractional cover number of Lovász's
+    tau <= (1 + ln Delta) tau*).  The test is exact: sum(L // D(e)) >
+    (room - 1) * L with L = lcm(1..Delta(H)).  It prunes wherever the
+    top-degree bound (the room - 1 largest residual degrees sum to fewer
+    than the uncovered edges) would: charge each edge to an allowed vertex
+    of degree D(e), at most deg(v) edges to v; sum(y_e) is least when the
+    largest degrees are filled first, and then those room - 1 vertices
+    take 1 each with edges left over.  Branching: on the picked part's
+    vertices in descending residual degree (tie: lowest id); each later
+    branch forbids the vertices tried before it.  The upper bound is seeded
+    by a greedy cover.  Every bound holds in its whole subtree, so tau and
+    the witness (the DFS's first optimum) do not depend on the bounds;
+    ``nodes_explored`` is a work counter that a stronger bound lowers.
 
     Orbit rule (Ostrowski, Linderoth, Rossi and Smriglio, *Orbital
     branching*, Math. Program. 2011): once the root's first child v1 is
@@ -157,6 +176,10 @@ def tau(h: Hypergraph) -> TransversalResult:
     # walk over the set bits of a mask needs no bit_length per step
     edge_at = {1 << i: em for i, em in enumerate(masks)}
     inc_at = {1 << v: iv for v, iv in enumerate(inc)}
+    delta = max(map(int.bit_count, inc))
+    lcm_all, weight = _fractional_weights(delta)
+    width = delta + 1
+    degrees_down = range(delta, 0, -1)
     greedy = _greedy_cover(inc, everything)
     best_size = len(greedy)
     best_set = list(greedy)
@@ -196,19 +219,32 @@ def tau(h: Hypergraph) -> TransversalResult:
         room = best_size - len(chosen)
         if packing >= room or whole_packing >= room:
             return
-        degs = {}
+        # the union of the incidence masks of the allowed vertices of each
+        # residual degree d
+        over = [0] * width
         while reach:
             low = reach & -reach
             reach ^= low
-            degs[low] = (unc & inc_at[low]).bit_count()
-        # top-degree bound: prune unless room - 1 vertices can cover unc
-        if sum(sorted(degs.values(), reverse=True)[: room - 1]) < unc.bit_count():
+            iv = inc_at[low]
+            over[(unc & iv).bit_count()] |= iv
+        # fractional packing, in units of 1 / L: y_e = 1 / D(e), D(e) the
+        # largest residual degree of e's allowed vertices, so no allowed
+        # vertex carries more than 1; prune unless room - 1 >= sum(y_e)
+        left, load = unc, 0
+        for d in degrees_down:
+            hit = left & over[d]
+            if hit:
+                load += hit.bit_count() * weight[d]
+                left ^= hit
+                if not left:
+                    break
+        if load > (room - 1) * lcm_all:
             return
         order = []
         while pick:
             low = pick & -pick
             pick ^= low
-            order.append((-degs[low], low))
+            order.append((-(unc & inc_at[low]).bit_count(), low))
         order.sort()
         if root:
             return order  # tau runs the root's children itself

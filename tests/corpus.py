@@ -85,7 +85,7 @@ def greedy_start(g: Graph) -> dict[int, int]:
     """The greedy start of ``max_matching_bipartite`` on adjacency sets: each
     left vertex, in increasing order, takes its least unmatched neighbour.
     The map holds both directions of every pair."""
-    adj = g.adjacency()
+    adj = g.adj
     match: dict[int, int] = {}
     for v in sorted(g.bipartition[0]):
         free = [w for w in adj[v] if w not in match]

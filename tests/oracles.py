@@ -7,7 +7,7 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
-from linhyp.catalog import TAU_OF_CLASS, order_class
+from linhyp.catalog import NAMES, TAU_OF_CLASS, order_class, special
 from linhyp.core import Graph, Hypergraph, HypergraphError
 from linhyp.deficiency import SpecialSet, deficiency, estar
 from linhyp.solver import GuardExceeded
@@ -38,7 +38,7 @@ def max_matching_bruteforce(g: Graph, guard_m: int = 60) -> int:
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None if the graph is a forest."""
     best: Optional[int] = None
-    adj = g.adjacency()
+    adj = g.adj
     for s in range(g.n):
         dist = {s: 0}
         par = {s: -1}
@@ -63,7 +63,7 @@ def gamma_t_bruteforce(g: Graph, guard_n: int = 16) -> int:
     """Total domination number by a scan of vertex subsets in size order."""
     if g.n > guard_n:
         raise GuardExceeded(f"n={g.n} exceeds brute-force guard {guard_n}")
-    adj = g.adjacency()
+    adj = [set(nb) for nb in g.adj]
     if any(not nb for nb in adj):
         raise HypergraphError("total domination undefined with isolated vertices")
     for size in range(1, g.n + 1):
@@ -215,3 +215,109 @@ def iso_backtrack(
     if bt(0):
         return dict(mapping)
     return None
+
+
+# A frozen copy of the blossom search before its per-root state was shared:
+# every unmatched root allocated fresh parent, base and in_queue lists, and
+# every blossom scanned all n vertices.  Quadratic on sparse graphs, but the
+# pairs it returns are the contract.
+
+def max_matching_general_per_root(g: Graph) -> tuple[tuple[int, int], ...]:
+    n, adj = g.n, g.adj
+    match = [-1] * n
+    for v in range(n):
+        if match[v] == -1:
+            for w in adj[v]:
+                if match[w] == -1:
+                    match[v] = w
+                    match[w] = v
+                    break
+    parent = [-1] * n
+    base = list(range(n))
+
+    def find_lca(a: int, b: int) -> int:
+        used = [False] * n
+        while True:
+            a = base[a]
+            used[a] = True
+            if match[a] == -1:
+                break
+            a = parent[match[a]]
+        while True:
+            b = base[b]
+            if used[b]:
+                return b
+            b = parent[match[b]]
+
+    def mark_path(in_blossom: list[bool], v: int, b: int, child: int) -> None:
+        while base[v] != b:
+            in_blossom[base[v]] = True
+            in_blossom[base[match[v]]] = True
+            parent[v] = child
+            child = match[v]
+            v = parent[match[v]]
+
+    def find_augmenting(root: int) -> int:
+        nonlocal base, parent
+        parent = [-1] * n
+        base = list(range(n))
+        in_queue = [False] * n
+        queue = [root]
+        in_queue[root] = True
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for w in adj[v]:
+                if base[v] == base[w] or match[v] == w:
+                    continue
+                if w == root or (match[w] != -1 and parent[match[w]] != -1):
+                    b = find_lca(v, w)
+                    in_blossom = [False] * n
+                    mark_path(in_blossom, v, b, w)
+                    mark_path(in_blossom, w, b, v)
+                    for u in range(n):
+                        if in_blossom[base[u]]:
+                            base[u] = b
+                            if not in_queue[u]:
+                                in_queue[u] = True
+                                queue.append(u)
+                elif parent[w] == -1:
+                    parent[w] = v
+                    if match[w] == -1:
+                        return w
+                    if not in_queue[match[w]]:
+                        queue.append(match[w])
+                        in_queue[match[w]] = True
+        return -1
+
+    for v in range(n):
+        if match[v] != -1:
+            continue
+        w = find_augmenting(v)
+        while w != -1:
+            pv = parent[w]
+            ppv = match[pv]
+            match[w] = pv
+            match[pv] = w
+            w = ppv
+    return tuple(sorted((v, match[v]) for v in range(n) if match[v] > v))
+
+
+# Graph builders and catalog access that only the tests use.
+
+def complete_graph(n: int) -> Graph:
+    return Graph(n, list(combinations(range(n), 2)))
+
+
+def cycle_graph(n: int) -> Graph:
+    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    edges = [(i, a + j) for i in range(a) for j in range(b)]
+    return Graph(a + b, edges, bipartition=(range(a), range(a, a + b)))
+
+
+def all_specials() -> dict[str, Hypergraph]:
+    return {name: special(name) for name in NAMES}

@@ -21,7 +21,6 @@ from linhyp.algebra import (
 from linhyp.catalog import DEFIC_WEIGHT, NAMES, order_class, special
 from linhyp.core import (
     bipartite_complement,
-    complete_graph,
     dual_graph,
     graph_isomorphic,
     hypergraph_isomorphic,
@@ -41,7 +40,7 @@ from linhyp.rng import SplitMix64
 from linhyp.solver import gamma_t, tau
 from linhyp.verify import bound_check, defic_identity_check, obs61_suite
 
-from oracles import enumerate_special_sets
+from oracles import complete_graph, enumerate_special_sets
 
 
 class Timer:

@@ -2,8 +2,10 @@
 
 import pytest
 
-from linhyp.catalog import NAMES, SHAPES, CatalogError, all_specials, special
+from linhyp.catalog import NAMES, SHAPES, CatalogError, special
 from linhyp.core import is_k_uniform, is_linear
+
+from oracles import all_specials
 
 
 def test_names_complete():

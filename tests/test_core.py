@@ -14,11 +14,8 @@ from linhyp.core import (
     HypergraphError,
     bipartite_complement,
     complement_hypergraph,
-    complete_bipartite,
-    complete_graph,
     component_count,
     components,
-    cycle_graph,
     degrees,
     delete_vertices,
     dual_graph,
@@ -35,7 +32,7 @@ from linhyp.rng import SplitMix64
 from linhyp.solver import tau
 
 from corpus import random_host
-from oracles import gamma_t_bruteforce
+from oracles import complete_bipartite, complete_graph, cycle_graph, gamma_t_bruteforce
 
 
 def h4() -> Hypergraph:

@@ -23,15 +23,13 @@ from linhyp.core import (
     Automorphisms,
     Hypergraph,
     bipartite_complement,
-    complete_bipartite,
-    cycle_graph,
     graph_isomorphic,
     hypergraph_isomorphic,
     onh,
 )
 
 from corpus import relabel
-from oracles import iso_backtrack
+from oracles import complete_bipartite, cycle_graph, iso_backtrack
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 

@@ -8,12 +8,10 @@ from hypothesis import given, settings, strategies as st
 import pytest
 
 from linhyp.algebra import l_k, projective_plane, random_linear
-from linhyp.catalog import special
+from linhyp.catalog import NAMES, special
 from linhyp.core import (
     Graph,
-    complete_bipartite,
-    complete_graph,
-    cycle_graph,
+    Hypergraph,
     dual_graph,
     graph_isomorphic,
     incidence_graph,
@@ -29,14 +27,21 @@ from linhyp.matching import (
 )
 
 from corpus import greedy_start
-from oracles import estar_bipartite_graph, max_matching_bruteforce
+from oracles import (
+    complete_bipartite,
+    complete_graph,
+    cycle_graph,
+    estar_bipartite_graph,
+    max_matching_bruteforce,
+    max_matching_general_per_root,
+)
 
 
 def recursive_bipartite_matching(g: Graph, start: dict[int, int] | None = None) -> Matching:
     """Reference: the same augmenting-path search written recursively, from
     the empty matching or from ``start`` (both directions of each pair)."""
     left = sorted(g.bipartition[0])
-    adj = g.adjacency()
+    adj = g.adj
     match: dict[int, int] = dict(start or {})
 
     def try_augment(v: int, visited: set[int]) -> bool:
@@ -86,7 +91,7 @@ class TestBipartite:
         ]
         g = Graph(a + b, edges, bipartition=(range(a), range(a, a + b)))
         size = max_matching_bipartite(g).size
-        adj = g.adjacency()
+        adj = g.adj
         worst = 0
         for r in range(a + 1):
             for sub in combinations(range(a), r):
@@ -184,7 +189,7 @@ class TestHallViolator:
             assert s is None
         else:
             assert s is not None
-            adj = g.adjacency()
+            adj = g.adj
             nbrs = set().union(*(adj[v] for v in s))
             assert len(nbrs) < len(s)
 
@@ -213,6 +218,52 @@ class TestGeneralMatching:
         ]
         g = Graph(n, edges)
         assert max_matching_general(g).size == max_matching_bruteforce(g, guard_m=60)
+
+
+def _blossom_corpus() -> list[tuple[str, Graph]]:
+    rng = stdrandom.Random(0xB105)
+    hosts = [("petersen", petersen()), ("K7", complete_graph(7)), ("C9", cycle_graph(9))]
+    for i in range(60):
+        n = rng.randrange(2, 40)
+        p = rng.choice((0.05, 0.1, 0.2, 0.4))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p]
+        hosts.append((f"random({i})", Graph(n, edges)))
+    # sparse graphs on which queueing a contracted blossom's vertices in
+    # any order but increasing changes which augmenting paths are found
+    for seed in (100, 523, 631, 931):
+        sparse = stdrandom.Random(seed)
+        n = sparse.randrange(60, 120)
+        p = sparse.choice((0.02, 0.04, 0.08))
+        edges = [(a, b) for a in range(n) for b in range(a + 1, n) if sparse.random() < p]
+        hosts.append((f"sparse({seed})", Graph(n, edges)))
+    hosts += [(f"dual({name})", dual_graph(special(name))) for name in NAMES
+              if special(name).max_degree() <= 2]
+    for seed in range(4):
+        hosts.append((f"dual(random_linear({seed}))", dual_graph(random_linear(18, 4, 2, 8, seed))))
+    hosts.append(("incidence(PG(2,5))", incidence_graph(projective_plane(5))))
+    # every vertex an unmatched root: the searches that were quadratic
+    disjoint = Hypergraph(4000, [range(4 * i, 4 * i + 4) for i in range(1000)])
+    hosts.append(("edgeless-dual", dual_graph(disjoint)))
+    hosts.append(("star(2001)", Graph(2001, [(0, i) for i in range(1, 2001)])))
+    return hosts
+
+
+BLOSSOM_CORPUS = _blossom_corpus()
+
+
+@pytest.mark.parametrize("name,g", BLOSSOM_CORPUS, ids=[name for name, _ in BLOSSOM_CORPUS])
+def test_blossom_pairs_match_frozen_per_root_search(name, g):
+    assert max_matching_general(g).pairs == max_matching_general_per_root(g)
+
+
+@given(st.integers(0, 10**9))
+@settings(max_examples=150, deadline=None)
+def test_blossom_pairs_match_frozen_per_root_search_random(seed):
+    rng = stdrandom.Random(seed)
+    n = rng.randrange(1, 30)
+    p = rng.random()
+    g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if rng.random() < p])
+    assert max_matching_general(g).pairs == max_matching_general_per_root(g)
 
 
 class TestTutteBerge:

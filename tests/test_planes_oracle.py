@@ -96,7 +96,7 @@ def oracle_projective_plane(q: int) -> Hypergraph:
 
 def oracle_bipartite(g: Graph, start: dict[int, int] | None = None) -> Matching:
     left = sorted(g.bipartition[0])
-    adj = g.adjacency()
+    adj = g.adj
     nbrs = {v: sorted(adj[v]) for v in left}
     match: dict[int, int] = dict(start or {})
 

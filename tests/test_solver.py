@@ -9,7 +9,6 @@ from linhyp.core import (
     Hypergraph,
     bipartite_complement,
     complement_hypergraph,
-    cycle_graph,
     delete_vertices,
     incidence_graph,
     onh,
@@ -22,6 +21,8 @@ from linhyp.solver import (
     tau,
     tau_bruteforce,
 )
+
+from oracles import cycle_graph
 
 
 class TestBruteforce:

@@ -14,6 +14,7 @@ from __future__ import annotations
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import linhyp.solver
 from linhyp.algebra import (
@@ -35,7 +36,7 @@ from linhyp.core import (
 )
 from linhyp.probability import ShrinkConfig, shrink
 from linhyp.rng import SplitMix64
-from linhyp.solver import TransversalResult, tau
+from linhyp.solver import TransversalResult, tau, tau_bruteforce
 
 from corpus import random_host, relabel
 
@@ -158,6 +159,13 @@ REGULAR_RIGID = Hypergraph(20, [
     (12, 14), (14, 16), (15, 18), (17, 19),
 ])
 
+# A 7-cycle and a disjoint edge, as a 2-uniform hypergraph: tau = 4 + 1 = 5,
+# and the greedy cover finds 5.  At the root both packings stop at nu = 4 and
+# degree counting allows 4 too (four vertices of degree 2 cover the 8 edges),
+# but y_e = 1/2 on the cycle and 1 on the lone edge is a fractional packing
+# of weight 7/2 + 1 = 9/2 > 4, so the root itself is pruned.
+CYCLE_AND_EDGE = Hypergraph(9, [(i, (i + 1) % 7) for i in range(7)] + [(7, 8)])
+
 
 def _corpus() -> list[tuple[str, Hypergraph]]:
     corpus = [(name, special(name)) for name in NAMES]
@@ -185,6 +193,7 @@ def _corpus() -> list[tuple[str, Hypergraph]]:
         [3, 16, 19], [4, 7, 9], [8, 11, 17], [10, 11, 14], [10, 12, 23], [16, 20, 24],
     ])))
     corpus.append(("regular-rigid", REGULAR_RIGID))
+    corpus.append(("cycle-and-edge", CYCLE_AND_EDGE))
     corpus.append(("isolated", Hypergraph(9, [[0, 2, 4], [2, 5], [4, 5, 7], [0, 7]])))
     corpus.append(("isolated-dup", Hypergraph(6, [[1], [1], [3, 4], [3, 4]])))
     corpus.append(("edgeless", Hypergraph(5, [])))
@@ -208,6 +217,28 @@ def test_corpus_reaches_pruned_searches():
     assert fewer >= 20
 
 
+def test_fractional_packing_prunes_where_the_other_bounds_miss():
+    h = CYCLE_AND_EDGE
+    assert sorted(h.degrees())[-4:] == [2, 2, 2, 2] and h.m == 8
+    got, want = tau(h), oracle_tau(h)
+    assert (got.tau, got.witness) == (want.tau, want.witness) == (5, (0, 2, 4, 5, 7))
+    assert got.nodes_explored == 1 < want.nodes_explored
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_tau_matches_bruteforce_and_oracle_on_random_linear(data):
+    k = data.draw(st.sampled_from((2, 3, 4)), label="k")
+    n = data.draw(st.integers(k, 14), label="n")
+    max_deg = data.draw(st.integers(1, 5), label="max_deg")
+    m = data.draw(st.integers(0, max_deg * n // k), label="m")
+    h = random_linear(n, k, max_deg, m, data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    got, want = tau(h), oracle_tau(h)
+    assert got.tau == tau_bruteforce(h).tau == want.tau
+    assert got.witness == want.witness
+    assert got.nodes_explored <= want.nodes_explored
+
+
 def _unpruned_tau(h: Hypergraph, monkeypatch) -> TransversalResult:
     with monkeypatch.context() as m:
         m.setattr(linhyp.solver, "_first_orbit", lambda h, first, spent: None)
@@ -229,21 +260,27 @@ def test_orbit_rule_keeps_tau_and_witness(monkeypatch):
 
 
 def test_orbit_rule_node_counts(monkeypatch):
-    # nodes before the orbit rule: 5,503, 1,985 and 70,761
+    # nodes before the orbit rule: 5,503, 1,985 and 70,761; with the orbit
+    # rule but before the fractional-packing bound: 1,986, 650, 28,881 and
+    # (affine_residual(7, 5)) 4,707
     asked = []
     mapping = Automorphisms.mapping
     monkeypatch.setattr(
         Automorphisms, "mapping", lambda self, u, v: asked.append(v) or mapping(self, u, v)
     )
-    assert tau(affine_plane(5)).nodes_explored == 1986
+    assert tau(affine_plane(5)).nodes_explored == 1671
     # the orbit is closed under both automorphisms found, so of the four
     # later root children only two need a search
     assert len(asked) == 2
-    assert tau(affine_residual(5, 1)).nodes_explored == 650
-    assert tau(onh(g30())).nodes_explored == 28881
+    assert tau(affine_residual(5, 1)).nodes_explored == 558
+    assert tau(onh(g30())).nodes_explored == 25938
+    assert tau(affine_residual(7, 5)).nodes_explored == 3032
 
 
 def test_root_child_outside_the_first_orbit_is_searched(monkeypatch):
+    # the first root child's subtree is small here, below the size at which
+    # the orbit test runs at all, so that threshold is lifted
+    monkeypatch.setattr(linhyp.solver, "_TEST_NODES", 0)
     h = REGULAR_RIGID
     autos = Automorphisms(h)
     assert autos.mapping(0, 3) is None
