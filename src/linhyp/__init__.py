@@ -10,7 +10,6 @@ from .core import (
     bipartite_complement,
     complement_hypergraph,
     components,
-    degrees,
     delete_vertices,
     dual_graph,
     graph_isomorphic,

@@ -42,9 +42,6 @@ SHAPES = {
 #: deficiency weight of an isolated copy, by vertex-count class
 DEFIC_WEIGHT = {4: 8, 10: 10, 11: 4, 14: 5, 21: 1}
 
-#: minimum transversal size of a copy, by vertex-count class
-TAU_OF_CLASS = {4: 1, 10: 3, 11: 3, 14: 4, 21: 6}
-
 
 class CatalogError(KeyError):
     """Unknown catalog name."""

@@ -209,10 +209,6 @@ def is_linear(h: Hypergraph) -> bool:
     return True
 
 
-def degrees(h: Hypergraph) -> list[int]:
-    return h.degrees()
-
-
 def delete_vertices(h: Hypergraph, xs: Iterable[int]) -> Hypergraph:
     """H - X: drop edges meeting X, drop X, drop resulting isolated vertices.
 

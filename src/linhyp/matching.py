@@ -1,11 +1,12 @@
-"""Maximum matching: bipartite augmenting paths, general-graph blossom
-contraction, Hall violators, and Tutte-Berge certificates.
+"""Maximum matching by blossom contraction, Hall violators, and Tutte-Berge
+certificates.
 
-Both maximum matchings start greedily: in increasing order, each vertex (each
-left vertex, for the bipartite search) takes its lowest free neighbour.  They
-then augment only from the vertices still unmatched, so most roots need no
-search at all.  The pairs therefore depend on the greedy start; the size does
-not.
+One augmenting-path search serves every graph: ``max_matching_general``
+starts greedily (in increasing order, each vertex takes its lowest free
+neighbour) and then augments only from the vertices still unmatched, so most
+roots need no search at all.  The pairs therefore depend on the greedy
+start; the size does not.  On a bipartite graph the search meets no odd
+cycle, and ``max_matching_bipartite`` only writes its pairs side by side.
 
 The dual identity tau(H) = m(H) - alpha'(dual(H)) for linear hypergraphs of
 maximum degree two is exposed as a two-sided check.
@@ -25,7 +26,6 @@ from .core import (
     HypergraphError,
     components,
     dual_graph,
-    vertex_mask,
 )
 from .solver import GuardExceeded, tau
 
@@ -62,73 +62,17 @@ class Matching:
 
 
 def max_matching_bipartite(g: Graph) -> Matching:
-    """Maximum matching by alternating-path augmentation from the left side.
+    """Maximum matching of a graph with a bipartition, as ``(left, right)``
+    pairs in sorted order.
 
-    Right vertices are bit positions in increasing id order and each left
-    vertex has a neighbour mask.  A greedy start first gives each left
-    vertex, in increasing order, the lowest free bit of its mask.  The left
-    vertices still unmatched are then tried in increasing order; each search
-    is a depth-first walk over neighbours in increasing order, kept on an
-    explicit stack so that long augmenting paths need no recursion.  Every
-    neighbour a frame has tried is visited, so its next one is the lowest bit
-    of its mask among the unvisited positions.  The result is re-checked, and
-    a failure raises ``CertificateError``.
+    The pairs are those of ``max_matching_general``, which meets no odd
+    cycle on a bipartite graph and re-checks its result.
     """
     if g.bipartition is None:
         raise HypergraphError("bipartite matching needs a bipartition")
-    left = sorted(g.bipartition[0])
-    right = sorted(g.bipartition[1])
-    position = [0] * g.n
-    for i, w in enumerate(right):
-        position[w] = i
-    nmask = [0] * g.n
-    for u in left:
-        nmask[u] = vertex_mask(position[w] for w in g.adj[u])
-    owner = [-1] * len(right)  # the left vertex matched to each right position
-    mate = [-1] * g.n  # the right position matched to each left vertex
-    everyone = (1 << len(right)) - 1
-
-    unowned = everyone
-    for u in left:
-        free = nmask[u] & unowned
-        if free:
-            low = free & -free
-            unowned ^= low
-            i = low.bit_length() - 1
-            owner[i] = u
-            mate[u] = i
-
-    for root in left:
-        if mate[root] >= 0:
-            continue
-        unvisited = everyone
-        stack = [root]  # frames hold left vertices only
-        through: list[int] = []  # the position each frame but the top is trying
-        u = root
-        while True:
-            free = nmask[u] & unvisited
-            if free:
-                low = free & -free
-                unvisited ^= low
-                i = low.bit_length() - 1
-                through.append(i)
-                u = owner[i]
-                if u >= 0:
-                    stack.append(u)
-                    continue
-                for u, i in zip(stack, through):
-                    owner[i] = u
-                    mate[u] = i
-                break
-            stack.pop()
-            if not stack:
-                break
-            through.pop()
-            u = stack[-1]
-    m = Matching(tuple((u, right[mate[u]]) for u in left if mate[u] >= 0))
-    if not m.check(g):
-        raise CertificateError("bipartite matching fails its re-check")
-    return m
+    left = g.bipartition[0]
+    pairs = ((a, b) if a in left else (b, a) for a, b in max_matching_general(g).pairs)
+    return Matching(tuple(sorted(pairs)))
 
 
 def hall_violator(g: Graph, side: int = 0) -> Optional[frozenset[int]]:
@@ -136,14 +80,13 @@ def hall_violator(g: Graph, side: int = 0) -> Optional[frozenset[int]]:
 
     Returns None when the side can be matched into the other side.  The
     violator is built from the vertices reachable by alternating paths from
-    the unmatched side vertices.
+    the unmatched side vertices; in a bipartite graph they are the same for
+    every maximum matching (Dulmage-Mendelsohn), so the blossom pairs serve.
     """
     if g.bipartition is None:
         raise HypergraphError("Hall check needs a bipartition")
     chosen = sorted(g.bipartition[side])
-    other_bip = (g.bipartition[1], g.bipartition[0])
-    view = g if side == 0 else Graph._trusted(g.n, g.adj, other_bip)
-    match = {a: b for a, b in max_matching_bipartite(view).pairs}
+    match = {a: b for a, b in max_matching_general(g).pairs}
     match.update({b: a for a, b in match.items()})
     unmatched = [v for v in chosen if v not in match]
     if not unmatched:

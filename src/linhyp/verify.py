@@ -23,7 +23,6 @@ from .core import (
     Hypergraph,
     HypergraphError,
     components,
-    degrees,
     hypergraph_isomorphic,
     is_connected,
     is_k_uniform,
@@ -139,7 +138,7 @@ def obs61_suite(kind: str) -> PropertyReport:
     """Run every applicable catalog property for one special hypergraph."""
     h = special(kind)
     n, m, t_expected = SHAPES[kind]
-    deg = degrees(h)
+    deg = h.degrees()
     idx = _TransversalIndex(h)
     t_actual = len(idx.transversals[0]) if idx.transversals else 0
     adj = _adjacency_masks(h)
@@ -278,7 +277,7 @@ def obs61_suite(kind: str) -> PropertyReport:
 def h11_exceptional_triple() -> list[int]:
     """H_11's three vertices with no neighbor of degree 1."""
     h = special("H11")
-    deg = degrees(h)
+    deg = h.degrees()
     with_deg1_neighbor: set[int] = set()
     for e in h.edges:
         if any(deg[v] == 1 for v in e):
@@ -406,7 +405,7 @@ def _check_property_p(h, deg, check_double_h4: bool = True):
             return False, f"H - {v} has {len(comps)} components"
         if not check_double_h4:
             continue
-        sdeg = degrees(sub)
+        sdeg = sub.degrees()
         for e1, e2 in combinations(range(sub.m), 2):
             a, b = set(sub.edges[e1]), set(sub.edges[e2])
             if a & b:
@@ -473,7 +472,7 @@ def bound_check(subject, bound_id: str) -> BoundResult:
         _require(is_k_uniform(h, 4), "R3REG needs a 4-uniform hypergraph")
         _require(is_linear(h), "R3REG needs a linear hypergraph")
         _require(
-            all(d == 3 for d in degrees(h)), "R3REG needs a 3-regular hypergraph"
+            all(d == 3 for d in h.degrees()), "R3REG needs a 3-regular hypergraph"
         )
         bound = Fraction(7 * n, 20)
     elif bound_id == "DEG2":
@@ -497,7 +496,7 @@ def bound_check(subject, bound_id: str) -> BoundResult:
 
 def _bound_td37(g: Graph) -> BoundResult:
     _require(isinstance(g, Graph), "TD37 takes a graph")
-    _require(min(g.degrees()) >= 4, "TD37 needs minimum degree >= 4")
+    _require(min(g.degrees(), default=0) >= 4, "TD37 needs minimum degree >= 4")
     gt = gamma_t(g)
     bound = Fraction(3 * g.n, 7)
     return BoundResult("TD37", gt <= bound, gt, bound, bound - gt)

@@ -82,12 +82,14 @@ def glued(kinds: tuple[str, ...], extra: int, seed: int) -> Hypergraph:
 
 
 def greedy_start(g: Graph) -> dict[int, int]:
-    """The greedy start of ``max_matching_bipartite`` on adjacency sets: each
-    left vertex, in increasing order, takes its least unmatched neighbour.
-    The map holds both directions of every pair."""
+    """The greedy start of ``max_matching_general`` on adjacency sets: each
+    vertex still unmatched, in increasing order, takes its least unmatched
+    neighbour.  The map holds both directions of every pair."""
     adj = g.adj
     match: dict[int, int] = {}
-    for v in sorted(g.bipartition[0]):
+    for v in range(g.n):
+        if v in match:
+            continue
         free = [w for w in adj[v] if w not in match]
         if free:
             w = min(free)

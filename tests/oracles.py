@@ -7,9 +7,10 @@ from __future__ import annotations
 from itertools import combinations
 from typing import Optional, Sequence
 
-from linhyp.catalog import NAMES, TAU_OF_CLASS, order_class, special
+from linhyp.catalog import NAMES, SHAPES, special
 from linhyp.core import Graph, Hypergraph, HypergraphError
 from linhyp.deficiency import SpecialSet, deficiency, estar
+from linhyp.matching import Matching, max_matching_general
 from linhyp.solver import GuardExceeded
 
 
@@ -109,7 +110,7 @@ def enumerate_special_sets(host: Hypergraph, guard_n: int = 30) -> list[SpecialS
 
 def x_transversal_size(x: SpecialSet) -> int:
     """Minimum size of a set hitting every edge of every member copy."""
-    return sum(TAU_OF_CLASS[order_class(emb.kind)] for emb in x.embeddings)
+    return sum(SHAPES[emb.kind][2] for emb in x.embeddings)
 
 
 # A frozen copy of the isomorphism search that the individualize-and-refine
@@ -302,6 +303,77 @@ def max_matching_general_per_root(g: Graph) -> tuple[tuple[int, int], ...]:
             match[pv] = w
             w = ppv
     return tuple(sorted((v, match[v]) for v in range(n) if match[v] > v))
+
+
+# A frozen copy of the bipartite depth-first search that the blossom search
+# replaced in max_matching_bipartite and hall_violator (here without its
+# greedy start), and of hall_violator as it ran on that search.
+
+def oracle_bipartite(g: Graph) -> Matching:
+    """Maximum matching by depth-first augmenting paths from each left vertex
+    in increasing order, over neighbours in increasing order, from the empty
+    matching."""
+    left = sorted(g.bipartition[0])
+    adj = g.adj
+    nbrs = {v: sorted(adj[v]) for v in left}
+    match: dict[int, int] = {}
+
+    for root in left:
+        visited: set[int] = set()
+        stack = [(root, iter(nbrs[root]))]
+        through: list[int] = []
+        while stack:
+            untried = stack[-1][1]
+            for w in untried:
+                if w not in visited:
+                    break
+            else:
+                stack.pop()
+                if through:
+                    through.pop()
+                continue
+            visited.add(w)
+            through.append(w)
+            if w in match:
+                stack.append((match[w], iter(nbrs[match[w]])))
+                continue
+            for (u, _), x in zip(stack, through):
+                match[u] = x
+                match[x] = u
+            break
+    pairs = sorted((v, match[v]) for v in left if v in match)
+    return Matching(tuple(pairs))
+
+
+def hall_violator_frozen(g: Graph, side: int = 0) -> Optional[frozenset[int]]:
+    chosen = sorted(g.bipartition[side])
+    view = g if side == 0 else Graph(g.n, g.edges, bipartition=g.bipartition[::-1])
+    match = {a: b for a, b in oracle_bipartite(view).pairs}
+    match.update({b: a for a, b in match.items()})
+    unmatched = [v for v in chosen if v not in match]
+    if not unmatched:
+        return None
+    reach_side = set(unmatched)
+    reach_other: set[int] = set()
+    frontier = list(unmatched)
+    while frontier:
+        v = frontier.pop()
+        for w in g.adj[v]:
+            if w in reach_other:
+                continue
+            reach_other.add(w)
+            back = match.get(w)
+            if back is not None and back not in reach_side:
+                reach_side.add(back)
+                frontier.append(back)
+    return frozenset(reach_side)
+
+
+def oriented_blossom_pairs(g: Graph) -> tuple[tuple[int, int], ...]:
+    """The blossom pairs of a bipartite graph, each written (left, right),
+    in sorted order: the contract of ``max_matching_bipartite``."""
+    left = g.bipartition[0]
+    return tuple(sorted(p if p[0] in left else p[::-1] for p in max_matching_general(g).pairs))
 
 
 # Graph builders and catalog access that only the tests use.

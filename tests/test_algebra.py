@@ -20,7 +20,6 @@ from linhyp.algebra import (
 )
 from linhyp.catalog import special
 from linhyp.core import (
-    degrees,
     hypergraph_isomorphic,
     is_connected,
     is_k_uniform,
@@ -84,7 +83,7 @@ class TestAffinePlane:
         assert (h.n, h.m) == (q * q, q * q + q)
         assert is_k_uniform(h, q)
         assert is_linear(h)
-        assert degrees(h) == [q + 1] * (q * q)
+        assert h.degrees() == [q + 1] * (q * q)
         # R1: every point pair on exactly one line
         seen = {}
         for e in h.edges:
@@ -115,7 +114,7 @@ class TestAffinePlane:
     def test_order2_is_k4(self):
         h = affine_plane(2)
         assert is_k_uniform(h, 2)
-        assert degrees(h) == [3, 3, 3, 3]
+        assert h.degrees() == [3, 3, 3, 3]
 
     def test_small_order_rejected(self):
         with pytest.raises(AlgebraError):
@@ -129,7 +128,7 @@ class TestProjectivePlane:
         n = q * q + q + 1
         assert (h.n, h.m) == (n, n)
         assert is_k_uniform(h, q + 1)
-        assert degrees(h) == [q + 1] * n
+        assert h.degrees() == [q + 1] * n
         for a, b in itertools.combinations(h.edges, 2):
             assert len(set(a) & set(b)) == 1
 
@@ -141,7 +140,7 @@ class TestProjectivePlane:
         h = projective_plane(31)
         assert (h.n, h.m) == (993, 993)
         assert is_k_uniform(h, 32)
-        assert set(degrees(h)) == {32}
+        assert set(h.degrees()) == {32}
 
 
 class TestResidual:
@@ -169,7 +168,7 @@ class TestLk:
         assert h.m == k + 1
         assert is_k_uniform(h, k)
         assert is_linear(h)
-        assert set(degrees(h)) == {2}
+        assert set(h.degrees()) == {2}
         for a, b in itertools.combinations(h.edges, 2):
             assert len(set(a) & set(b)) == 1
 

@@ -59,7 +59,7 @@ def test_h21_2_apex_structure():
 def test_h21_6_block_structure():
     # removing the 11-vertex block leaves the 2-regular 10-vertex member
     # with one edge gone
-    from linhyp.core import degrees, delete_vertices
+    from linhyp.core import delete_vertices
     from linhyp.deficiency import find_embeddings
 
     h = special("H21_6")
@@ -67,4 +67,4 @@ def test_h21_6_block_structure():
     assert copies
     rest = delete_vertices(h, copies[0].vertex_map)
     assert (rest.n, rest.m) == (10, 4)
-    assert sorted(degrees(rest)) == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]
+    assert sorted(rest.degrees()) == [1, 1, 1, 1, 2, 2, 2, 2, 2, 2]

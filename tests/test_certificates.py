@@ -55,7 +55,7 @@ def test_bipartite_matching_failing_its_check_raises(monkeypatch):
 
 def test_hall_violator_from_a_non_maximum_matching_raises(monkeypatch):
     # an empty matching leaves vertex 0 unmatched although it can be matched
-    monkeypatch.setattr(matching, "max_matching_bipartite", lambda g: Matching(()))
+    monkeypatch.setattr(matching, "max_matching_general", lambda g: Matching(()))
     g = Graph(2, [(0, 1)], bipartition=([0], [1]))
     with pytest.raises(CertificateError):
         hall_violator(g)

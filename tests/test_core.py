@@ -16,7 +16,6 @@ from linhyp.core import (
     complement_hypergraph,
     component_count,
     components,
-    degrees,
     delete_vertices,
     dual_graph,
     graph_isomorphic,
@@ -78,13 +77,13 @@ class TestUniformLinear:
 
 class TestDegrees:
     def test_affine_plane_regular(self):
-        assert degrees(affine_plane(3)) == [4] * 9
+        assert affine_plane(3).degrees() == [4] * 9
 
     def test_h10_two_regular(self):
-        assert degrees(special("H10")) == [2] * 10
+        assert special("H10").degrees() == [2] * 10
 
     def test_single_edge(self):
-        assert degrees(h4()) == [1, 1, 1, 1]
+        assert h4().degrees() == [1, 1, 1, 1]
 
 
 class TestDeleteVertices:
@@ -370,7 +369,7 @@ class TestDualGraph:
         h = random_linear(14, 4, 2, 6, seed)
         g = dual_graph(h)
         deg = g.degrees()
-        hdeg = degrees(h)
+        hdeg = h.degrees()
         for i, e in enumerate(h.edges):
             assert deg[i] == sum(1 for v in e if hdeg[v] == 2)
 

@@ -34,15 +34,16 @@ from oracles import (
     estar_bipartite_graph,
     max_matching_bruteforce,
     max_matching_general_per_root,
+    oriented_blossom_pairs,
 )
 
 
-def recursive_bipartite_matching(g: Graph, start: dict[int, int] | None = None) -> Matching:
-    """Reference: the same augmenting-path search written recursively, from
-    the empty matching or from ``start`` (both directions of each pair)."""
+def recursive_bipartite_matching(g: Graph) -> Matching:
+    """Reference: a depth-first augmenting-path search from each left vertex,
+    written recursively, from the empty matching."""
     left = sorted(g.bipartition[0])
     adj = g.adj
-    match: dict[int, int] = dict(start or {})
+    match: dict[int, int] = {}
 
     def try_augment(v: int, visited: set[int]) -> bool:
         for w in sorted(adj[v]):
@@ -119,8 +120,8 @@ class TestBipartite:
 
     def test_long_path_augments_through_the_greedy_start(self):
         # the path above: the greedy start gives each l_i, i < k, its lower id
-        # a_{i+1} and leaves l_k alone, so the one augmenting path runs from
-        # l_k through all k left vertices and flips all k - 1 greedy pairs
+        # a_{i+1} and leaves l_k and a_1 alone, so the one augmenting path runs
+        # from l_k through all k left vertices and flips all k - 1 greedy pairs
         k = 2000
         left = list(range(k))
         right = [2 * k - 1 - i for i in range(k)]
@@ -128,7 +129,7 @@ class TestBipartite:
         edges += [(left[i], right[i + 1]) for i in range(k - 1)]
         g = Graph(2 * k, edges, bipartition=(left, right))
         start = greedy_start(g)
-        assert [v for v in left if v not in start] == [left[-1]]
+        assert [v for v in range(g.n) if v not in start] == [left[-1], right[0]]
         pairs = max_matching_bipartite(g).pairs
         assert all(start[u] != w for u, w in pairs[:-1])
 
@@ -136,8 +137,9 @@ class TestBipartite:
     def test_same_pairs_as_recursive_reference(self, q):
         g = incidence_graph(projective_plane(q))
         m = max_matching_bipartite(g)
-        assert m == recursive_bipartite_matching(g, greedy_start(g))
+        assert m.pairs == oriented_blossom_pairs(g)
         assert m.size == recursive_bipartite_matching(g).size == q * q + q + 1
+        assert m.check(g)
 
 
 class TestMatchingCheck:

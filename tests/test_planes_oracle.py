@@ -1,29 +1,25 @@
-"""Plane construction on integer field codes, the bitset bipartite search and
-the trusted incidence graph against frozen copies of the tuple-arithmetic
-constructions, the neighbour-iterator augmenting search and the validating
-``Graph`` construction they replaced.
+"""Plane construction on integer field codes, bipartite matching on the
+blossom search and the trusted incidence graph against frozen copies of the
+tuple-arithmetic constructions, the depth-first augmenting search and the
+validating ``Graph`` construction they replaced.
 
-The bipartite search starts from a greedy matching, so its pairs are
-pinned to the frozen search run from the same greedy start, and its size to
-the frozen search run from the empty matching.
+``max_matching_bipartite`` returns the blossom pairs written (left, right),
+so its pairs are pinned to those and its size to the frozen search; Hall
+violators do not depend on the maximum matching they are built from, so
+they are pinned to the frozen ``hall_violator`` on the frozen search.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from linhyp import matching
 from linhyp.algebra import affine_plane, field_tables, gf, projective_plane
 from linhyp.core import Graph, Hypergraph, incidence_graph
-from linhyp.matching import (
-    Matching,
-    hall_violator,
-    max_matching_bipartite,
-    max_matching_general,
-)
+from linhyp.matching import hall_violator, max_matching_bipartite, max_matching_general
 from linhyp.rng import SplitMix64
 
-from corpus import greedy_start, random_host
+from corpus import random_host
+from oracles import hall_violator_frozen, oracle_bipartite, oriented_blossom_pairs
 
 # e = 1 to 5: primes, 4 8 16 32, 9 27, 25
 PLANE_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 32, 37]
@@ -94,41 +90,6 @@ def oracle_projective_plane(q: int) -> Hypergraph:
     return Hypergraph(len(points), lines)
 
 
-def oracle_bipartite(g: Graph, start: dict[int, int] | None = None) -> Matching:
-    left = sorted(g.bipartition[0])
-    adj = g.adj
-    nbrs = {v: sorted(adj[v]) for v in left}
-    match: dict[int, int] = dict(start or {})
-
-    for root in left:
-        if root in match:
-            continue
-        visited: set[int] = set()
-        stack = [(root, iter(nbrs[root]))]
-        through: list[int] = []
-        while stack:
-            untried = stack[-1][1]
-            for w in untried:
-                if w not in visited:
-                    break
-            else:
-                stack.pop()
-                if through:
-                    through.pop()
-                continue
-            visited.add(w)
-            through.append(w)
-            if w in match:
-                stack.append((match[w], iter(nbrs[match[w]])))
-                continue
-            for (u, _), x in zip(stack, through):
-                match[u] = x
-                match[x] = u
-            break
-    pairs = sorted((v, match[v]) for v in left if v in match)
-    return Matching(tuple(pairs))
-
-
 def oracle_incidence_graph(h: Hypergraph) -> Graph:
     edges = []
     for i, e in enumerate(h.edges):
@@ -196,8 +157,9 @@ def test_incidence_graph_matches_validating_construction_on_hosts(name):
 def test_bipartite_pairs_match_frozen_search_on_planes(q):
     g = incidence_graph(projective_plane(q))
     m = max_matching_bipartite(g)
-    assert m == oracle_bipartite(g, greedy_start(g))
+    assert m.pairs == oriented_blossom_pairs(g)
     assert m.size == oracle_bipartite(g).size == q * q + q + 1
+    assert m.check(g)
 
 
 def _random_bipartite(rng: SplitMix64) -> Graph:
@@ -234,16 +196,22 @@ def test_random_corpus_reaches_interleaved_and_deficient_sides():
 def test_bipartite_pairs_match_frozen_search_on_random_graphs(i):
     g = RANDOM_GRAPHS[i]
     m = max_matching_bipartite(g)
-    assert m == oracle_bipartite(g, greedy_start(g))
+    assert m.pairs == oriented_blossom_pairs(g)
     assert m.size == oracle_bipartite(g).size
+    assert m.check(g)
 
 
-def test_greedy_start_changes_the_pairs_on_52_random_graphs():
-    changed = sum(
-        oracle_bipartite(g, greedy_start(g)) != oracle_bipartite(g)
-        for g in RANDOM_GRAPHS
-    )
-    assert changed == 52
+def test_bipartite_pairs_are_written_left_to_right_and_sorted():
+    flipped = 0
+    for g in RANDOM_GRAPHS:
+        left, right = g.bipartition
+        pairs = max_matching_bipartite(g).pairs
+        assert all(a in left and b in right for a, b in pairs)
+        assert list(pairs) == sorted(pairs)
+        # the blossom writes a pair (a, b) with a < b, so a right vertex
+        # below its partner comes first there and has to be moved
+        flipped += any(a in right for a, _ in max_matching_general(g).pairs)
+    assert flipped >= 10
 
 
 def test_blossom_sizes_match_frozen_search_on_random_graphs():
@@ -253,13 +221,9 @@ def test_blossom_sizes_match_frozen_search_on_random_graphs():
         assert m.size == oracle_bipartite(g).size
 
 
-def test_hall_violators_match_frozen_search(monkeypatch):
-    found = []
-    for g in RANDOM_GRAPHS:
-        for side in (0, 1):
-            found.append(hall_violator(g, side))
-    monkeypatch.setattr(matching, "max_matching_bipartite", oracle_bipartite)
-    expected = [hall_violator(g, side) for g in RANDOM_GRAPHS for side in (0, 1)]
+def test_hall_violators_match_frozen_search():
+    found = [hall_violator(g, side) for g in RANDOM_GRAPHS for side in (0, 1)]
+    expected = [hall_violator_frozen(g, side) for g in RANDOM_GRAPHS for side in (0, 1)]
     assert found == expected
     assert sum(s is not None for s in found[0::2]) >= 20
     assert sum(s is not None for s in found[1::2]) >= 20

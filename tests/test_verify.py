@@ -12,7 +12,7 @@ from linhyp.algebra import (
     random_linear,
 )
 from linhyp.catalog import NAMES, special
-from linhyp.core import ArgumentError, Hypergraph, hypergraph_isomorphic, is_connected
+from linhyp.core import ArgumentError, Graph, Hypergraph, hypergraph_isomorphic, is_connected
 from linhyp.solver import tau
 from linhyp.verify import (
     HypothesisViolation,
@@ -157,6 +157,11 @@ class TestBoundCheck:
         g = bipartite_complement(heawood())
         res = bound_check(g, "TD37")
         assert res.holds and res.slack == 0  # the unique extremal graph
+
+    def test_td37_rejects_the_empty_graph(self):
+        # the empty graph has no minimum degree, so no bound is checked on it
+        with pytest.raises(HypothesisViolation):
+            bound_check(Graph(0, []), "TD37")
 
     def test_unknown_bound(self):
         with pytest.raises(ArgumentError):

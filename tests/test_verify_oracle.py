@@ -26,7 +26,7 @@ import pytest
 from linhyp import cli
 from linhyp.algebra import affine_plane, affine_residual, random_linear
 from linhyp.catalog import NAMES, SHAPES, order_class, special
-from linhyp.core import Hypergraph, degrees
+from linhyp.core import Hypergraph
 from linhyp.rng import SplitMix64
 from linhyp.solver import GuardExceeded, enumerate_min_transversals, tau
 from linhyp.verify import (
@@ -191,7 +191,7 @@ def oracle_o(h: Hypergraph, idx, deg: list[int]):
 def oracle_obs61_suite(kind: str) -> PropertyReport:
     h = special(kind)
     n, m, t_expected = SHAPES[kind]
-    deg = degrees(h)
+    deg = h.degrees()
     idx = OracleIndex(h)
     t_actual = len(idx.transversals[0]) if idx.transversals else 0
     adjacent = oracle_adjacent_pairs(h)
@@ -378,7 +378,7 @@ ITEM_HOSTS = _item_hosts()
 def _frozen_items(name: str):
     """The frozen (i), (j), (k), (n) and (o) results on one host."""
     h = dict(ITEM_HOSTS)[name]
-    deg, idx = degrees(h), OracleIndex(h)
+    deg, idx = h.degrees(), OracleIndex(h)
     bad_i_j = [oracle_check_i_j(idx, size, None)[1] for size in (3, 4)]
     return (
         idx.transversals, bad_i_j,
@@ -389,7 +389,7 @@ def _frozen_items(name: str):
 @pytest.mark.parametrize("name", [name for name, _ in ITEM_HOSTS])
 def test_item_helpers_match_frozen_loops(name):
     h = dict(ITEM_HOSTS)[name]
-    deg, idx, adj = degrees(h), _TransversalIndex(h), _adjacency_masks(h)
+    deg, idx, adj = h.degrees(), _TransversalIndex(h), _adjacency_masks(h)
     transversals, bad_i_j, bad_k, bad_n, result_o = _frozen_items(name)
     assert idx.transversals == transversals
     assert [_check_i_j(idx, size, None)[1] for size in (3, 4)] == bad_i_j
@@ -419,7 +419,7 @@ def test_item_o_fails_only_where_item_g_fails():
     g_passing = 0
     for name, h in hosts:
         idx = _TransversalIndex(h)
-        ok_o, _ = _check_property_o(h, idx, degrees(h), _adjacency_masks(h))
+        ok_o, _ = _check_property_o(h, idx, h.degrees(), _adjacency_masks(h))
         if all(idx.by_vertex):
             g_passing += 1
             assert ok_o, name
@@ -430,14 +430,14 @@ def test_item_n_reports_pairs_every_minimum_transversal_hits():
     h = dict(ITEM_HOSTS)["forced"]
     idx = _TransversalIndex(h)
     assert idx.transversals == [(0, 3)]
-    bad = _check_property_n(h, idx, degrees(h), _adjacency_masks(h))
+    bad = _check_property_n(h, idx, h.degrees(), _adjacency_masks(h))
     assert ((0, 1, 2), (3, 4, 5), (6, 7)) in bad
 
 
 @pytest.mark.parametrize("n", [0, 1, 5])
 def test_item_o_on_edgeless_hosts_matches_frozen_loop(n):
     h = Hypergraph(n, [])
-    deg, adj = degrees(h), _adjacency_masks(h)
+    deg, adj = h.degrees(), _adjacency_masks(h)
     expected = oracle_o(h, OracleIndex(h), deg)
     assert _check_property_o(h, _TransversalIndex(h), deg, adj) == expected == (True, None)
 
