@@ -8,6 +8,7 @@ them.  All operations are pure functions returning new values.
 
 from __future__ import annotations
 
+import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
@@ -471,12 +472,15 @@ class Automorphisms:
     """Automorphism queries on one hypergraph under one budget of refinement
     rounds, shared by every query.
 
-    ``colors`` is a colouring of V(H) that every automorphism preserves.  It
-    is refined towards the coarsest equitable colouring one round at a time,
-    and only as far as the queries need: once u and v differ in colour, no
-    automorphism maps u to v, and the query needs no search.  On a rigid
-    host that takes a round or two, where the equitable colouring may take
-    several.  Once the budget is spent every query answers None.
+    ``colors`` is a colouring of V(H), all one colour unless set by
+    :meth:`restricted`, and every answer preserves it: a colour class that
+    holds a vertex set S makes the answers maps of S onto itself, a setwise
+    stabiliser.  The colouring is refined towards the coarsest equitable
+    colouring one round at a time, and only as far as the queries need:
+    once u and v differ in colour, no such automorphism maps u to v, and the
+    query needs no search.  On a rigid host that takes a round or two, where
+    the equitable colouring may take several.  Once the budget is spent
+    every query answers None.
     """
 
     def __init__(self, h: Hypergraph, budget: Optional[int] = None):
@@ -485,11 +489,20 @@ class Automorphisms:
         self.colors = [0] * h.n
         self.equitable = False
         self._inc = _incidence_lists(h.n, h.edges)
-        self._union: Optional[_Union] = None
+        self._union = _Union(h.n, h.edges, h.edges)
+
+    def restricted(self, colors: list[int], budget: int) -> Automorphisms:
+        """Queries for the automorphisms of the same H that preserve
+        ``colors``, under a budget of their own; they share this object's
+        incidence lists and union of H with itself."""
+        out = copy.copy(self)
+        out.left, out.colors, out.equitable = budget, colors, False
+        return out
 
     def mapping(self, u: int, v: int) -> Optional[list[int]]:
-        """A permutation of V(H) mapping the edge multiset onto itself and
-        ``u`` to ``v``, or None if there is none or the budget ran out."""
+        """A permutation of V(H) mapping the edge multiset onto itself, each
+        colour class onto itself and ``u`` to ``v``, or None if there is none
+        or the budget ran out."""
         while self.colors[u] == self.colors[v] and not self.equitable:
             if self.left <= 0:
                 return None
@@ -499,8 +512,6 @@ class Automorphisms:
             self.left -= spent
         if self.colors[u] != self.colors[v]:
             return None
-        if self._union is None:
-            self._union = _Union(self.h.n, self.h.edges, self.h.edges)
         col = self.colors * 2
         col[u] = col[self.h.n + v] = max(self.colors) + 1
         perm, spent = self._union.search(col, self.left)

@@ -19,13 +19,17 @@ from .core import Automorphisms, CertificateError, Graph, Hypergraph, onh, verte
 # Measured cost ratios, not settings.  The unit is one search node per unit
 # of mean edge size: a node scans the m uncovered edges, while one
 # refinement round of H or H + H passes over all their incidences and costs
-# 2 to 4 units on the plane and ONH hosts.  A root whose first child took
-# fewer than _TEST_NODES units runs no automorphism test (a test on a
-# symmetric host refines H and then H + H a few rounds each); otherwise the
-# whole test may spend one round per _ROUND_NODES units, so it costs at most
-# about as much as the first child did.
+# 2 to 4 units on the plane and ONH hosts.  A child whose subtree took fewer
+# than _TEST_NODES units builds no automorphism test for its later siblings
+# (a test on a symmetric host refines H and then H + H a few rounds each);
+# otherwise the test may spend one round per _ROUND_NODES units, so it costs
+# at most about as much as that subtree did.
 _TEST_NODES = 40
 _ROUND_NODES = 4
+# The fractional-packing weights L // d are exact up to this residual degree:
+# L = lcm(1..16) = 720,720 keeps each weight, and each load the search forms,
+# a small int however large the host's maximum degree.
+_EXACT_DEGREE = 16
 
 
 class GuardExceeded(RuntimeError):
@@ -79,29 +83,20 @@ def _greedy_cover(inc: list[int], uncovered: int) -> list[int]:
 
 @lru_cache(maxsize=16)
 def _fractional_weights(delta: int) -> tuple[int, tuple[int, ...]]:
-    """L = lcm(1..delta) and the integer weights L // d, indexed by d."""
-    big = lcm(*range(1, delta + 1))
+    """L = lcm(1..min(delta, _EXACT_DEGREE)) and the weights L // d, indexed
+    by d up to delta.  L // d <= L / d, so they are a fractional packing at
+    every degree, and an exact one up to _EXACT_DEGREE."""
+    big = lcm(*range(1, min(delta, _EXACT_DEGREE) + 1))
     return big, (0,) + tuple(big // d for d in range(1, delta + 1))
 
 
-def _first_orbit(h: Hypergraph, first: int, spent: int) -> Optional[Callable[[int], bool]]:
-    """The orbit test for the root children after the first, ``first``.
+def _orbit_test(autos: Automorphisms, first: int) -> Callable[[int], bool]:
+    """The orbit test for the later siblings of the searched child ``first``.
 
-    ``spent`` is the size of the first child's finished subtree, in nodes;
-    divided by the mean edge size of H it is a cost in the unit of
-    ``_TEST_NODES`` and ``_ROUND_NODES``.  Below ``_TEST_NODES`` there is no
-    test (None).  Otherwise the automorphism searches share a budget of one
-    refinement round per ``_ROUND_NODES``, and the test is true for a vertex
-    once an automorphism found maps ``first`` onto it: the orbit is closed
-    under every automorphism found, so most children of a symmetric root
-    need no search of their own.
+    It is true for a vertex once an automorphism from ``autos`` maps
+    ``first`` onto it.  The orbit is closed under every automorphism found,
+    so most children of a symmetric node need no search of their own.
     """
-    if spent < _TEST_NODES:  # the mean edge size is at least 1: skip the scan
-        return None
-    spent *= h.m / sum(map(len, h.edges))
-    if spent < _TEST_NODES:
-        return None
-    autos = Automorphisms(h, int(spent // _ROUND_NODES))
     orbit = {first}
     found: list[list[int]] = []
 
@@ -140,32 +135,48 @@ def tau(h: Hypergraph) -> TransversalResult:
     e's allowed vertices.  With y_e = 1/D(e), an allowed vertex of degree d
     carries at most d * 1/d = 1, so by LP duality the residual needs at
     least sum(y_e) vertices (the fractional cover number of Lovász's
-    tau <= (1 + ln Delta) tau*).  The test is exact: sum(L // D(e)) >
-    (room - 1) * L with L = lcm(1..Delta(H)).  It prunes wherever the
-    top-degree bound (the room - 1 largest residual degrees sum to fewer
-    than the uncovered edges) would: charge each edge to an allowed vertex
-    of degree D(e), at most deg(v) edges to v; sum(y_e) is least when the
-    largest degrees are filled first, and then those room - 1 vertices
-    take 1 each with edges left over.  Branching: on the picked part's
-    vertices in descending residual degree (tie: lowest id); each later
-    branch forbids the vertices tried before it.  The upper bound is seeded
-    by a greedy cover.  Every bound holds in its whole subtree, so tau and
-    the witness (the DFS's first optimum) do not depend on the bounds;
-    ``nodes_explored`` is a work counter that a stronger bound lowers.
+    tau <= (1 + ln Delta) tau*).  The test is in integers: sum(L // D(e)) >
+    (room - 1) * L with L = lcm(1..min(Delta(H), 16)).  L // d <= L / d, so
+    the test is sound at every degree and exact while Delta(H) <= 16.  Then
+    it prunes wherever the top-degree bound (the room - 1 largest residual
+    degrees sum to fewer than the uncovered edges) would: charge each edge
+    to an allowed vertex of degree D(e), at most deg(v) edges to v;
+    sum(y_e) is least when the largest degrees are filled first, and then
+    those room - 1 vertices take 1 each with edges left over.  Branching:
+    on the picked part's vertices in descending residual degree (tie:
+    lowest id); each later branch forbids the vertices tried before it.
+    The upper bound is seeded by a greedy cover.  Every bound holds in its
+    whole subtree, so tau and the witness (the DFS's first optimum) do not
+    depend on the bounds; ``nodes_explored`` is a work counter that a
+    stronger bound lowers.
 
     Orbit rule (Ostrowski, Linderoth, Rossi and Smriglio, *Orbital
-    branching*, Math. Program. 2011): once the root's first child v1 is
-    searched, a later root child vi is skipped if an automorphism sigma of H
-    with sigma(v1) = vi is known.  Proof: the root forbids nothing, so the
-    finished subtree of v1 leaves an incumbent no larger than any
-    transversal through v1.  For a transversal T through vi, sigma^-1(T) is
-    a transversal through v1 of the same size, so child i holds nothing
-    smaller than the incumbent; the incumbent only changes on a strictly
-    smaller transversal, so skipping child i is a bound prune and changes
-    neither tau nor the witness.  The skipped vertex stays forbidden in the
-    later children, as if child i had been searched.  Automorphisms come
-    from :class:`~linhyp.core.Automorphisms` under a refinement budget (see
-    :func:`_first_orbit`); a search that finds none skips nothing.
+    branching*, Math. Program. 2011), at every node.  Take a node with
+    chosen set C and its children v1, v2, ... in search order.  Once child
+    j is searched, a later child vi is skipped if an automorphism sigma of H
+    is known with sigma(vj) = vi and sigma(C) = C.  Proof: a transversal
+    runs down one branch of the tree, to the first child, in search order,
+    whose vertex it holds.  One that holds C + {vj} therefore runs through
+    child j or leaves the path to child j at a child searched before it,
+    here or above.  So once child j is searched, the incumbent is no larger
+    than any transversal that holds C + {vj} (by induction in search order:
+    every subtree left was searched, pruned by a bound or skipped by this
+    rule).  A transversal T searched by child i holds C + {vi}; sigma^-1(T)
+    holds C + {vj} and has the size of T, so child i holds nothing smaller
+    than the incumbent.  The incumbent only changes on a strictly smaller
+    transversal, so skipping child i is a bound prune and changes neither
+    tau nor the witness.  The skipped vertex stays forbidden in the later
+    children, as if child i had been searched.  The forbidden vertices need
+    no colour class of their own: sigma need not fix them.
+
+    Automorphisms come from :class:`~linhyp.core.Automorphisms`, with C as
+    one colour class, under a budget of refinement rounds in proportion to
+    child j's subtree (see ``_TEST_NODES`` and ``_ROUND_NODES``); a search
+    that finds none skips nothing.  Each node may build one test per
+    searched child, and a child's subtree may build tests only if its
+    parent's tests, if any, found an automorphism: below a node whose
+    stabiliser came out trivial, the stabiliser of the larger C is usually
+    trivial too.
     """
     masks = h.edge_masks()
     if not masks:
@@ -184,10 +195,28 @@ def tau(h: Hypergraph) -> TransversalResult:
     best_size = len(greedy)
     best_set = list(greedy)
     nodes = 0
+    autos: Optional[Automorphisms] = None  # built when the first test is due
+    edge_size = 0.0
 
-    def dfs(
-        unc: int, chosen: list[int], forbidden: int, root: bool = False
-    ) -> Optional[list[tuple[int, int]]]:
+    def build_test(
+        chosen: list[int], first: int, spent: int
+    ) -> Optional[Callable[[int], bool]]:
+        # spent: the nodes of first's subtree; divided by the mean edge size
+        # it is in the unit of _TEST_NODES and _ROUND_NODES
+        nonlocal autos, edge_size
+        if not edge_size:
+            edge_size = sum(map(len, h.edges)) / h.m
+        spent /= edge_size
+        if spent < _TEST_NODES:
+            return None
+        if autos is None:
+            autos = Automorphisms(h)
+        colors = [0] * h.n
+        for v in chosen:
+            colors[v] = 1
+        return _orbit_test(autos.restricted(colors, int(spent // _ROUND_NODES)), first)
+
+    def dfs(unc: int, chosen: list[int], forbidden: int, testing: bool) -> None:
         nonlocal best_size, best_set, nodes
         nodes += 1
         if not unc:
@@ -246,25 +275,26 @@ def tau(h: Hypergraph) -> TransversalResult:
             pick ^= low
             order.append((-(unc & inc_at[low]).bit_count(), low))
         order.sort()
-        if root:
-            return order  # tau runs the root's children itself
         banned = forbidden
+        tests: list[Callable[[int], bool]] = []
+        skipped = False  # whether this node's tests found an automorphism
+        down = testing  # whether the next child's subtree may build tests
         for _, bit in order:
-            chosen.append(bit.bit_length() - 1)
-            dfs(unc & ~inc_at[bit], chosen, banned)
-            chosen.pop()
+            if tests and any(test(bit.bit_length() - 1) for test in tests):
+                skipped = down = True
+            else:
+                before = nodes
+                chosen.append(bit.bit_length() - 1)
+                dfs(unc & ~inc_at[bit], chosen, banned, down)
+                v = chosen.pop()
+                if testing and nodes - before >= _TEST_NODES:
+                    test = build_test(chosen, v, nodes - before)
+                    if test is not None:
+                        tests.append(test)
+                        down = skipped
             banned |= bit
 
-    # the root's children, with the orbit rule; the root is node 1
-    order = dfs(everything, [], 0, True) or ()
-    banned, in_orbit = 0, None
-    for i, (_, bit) in enumerate(order):
-        v = bit.bit_length() - 1
-        if i == 1:
-            in_orbit = _first_orbit(h, order[0][1].bit_length() - 1, nodes - 1)
-        if in_orbit is None or not in_orbit(v):
-            dfs(everything & ~inc_at[bit], [v], banned)
-        banned |= bit
+    dfs(everything, [], 0, True)
     result = TransversalResult(
         best_size, tuple(sorted(best_set)), nodes, "branch_and_bound"
     )

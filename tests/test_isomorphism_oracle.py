@@ -148,6 +148,40 @@ def test_catalog_orbits_match_frozen_search(name):
         assert perm is None or (perm[0] == v and is_automorphism(h, perm))
 
 
+STABILISED = [
+    ("AG(2,2)", affine_plane(2)),
+    ("PG(2,2)", projective_plane(2)),
+    ("C6", Hypergraph(6, [[i, (i + 1) % 6] for i in range(6)])),
+]
+
+
+@pytest.mark.parametrize("name,h", STABILISED, ids=[name for name, _ in STABILISED])
+def test_colour_classes_give_setwise_stabilisers(name, h):
+    # the whole group by brute force, then, for vertex sets S and T as two
+    # colour classes, the queries must answer exactly for the automorphisms
+    # that map S onto S and T onto T
+    group = [p for p in itertools.permutations(range(h.n)) if is_automorphism(h, p)]
+    base = Automorphisms(h)
+    for s_set, t_set in (((0,), ()), ((0,), (1,)), ((0, 1), (2,)), ((), (0, 1))):
+        colors = [0] * h.n
+        for v in s_set:
+            colors[v] = 1
+        for v in t_set:
+            colors[v] = 2
+        kept = [p for p in group if all(colors[p[w]] == colors[w] for w in range(h.n))]
+        autos = base.restricted(list(colors), 10**9)
+        assert autos._union is base._union and autos._inc is base._inc
+        for u, v in itertools.permutations(range(h.n), 2):
+            want = any(p[u] == v for p in kept)
+            perm = autos.mapping(u, v)
+            assert (perm is not None) == want, (s_set, t_set, u, v)
+            assert perm is None or (
+                perm[u] == v
+                and is_automorphism(h, perm)
+                and all(colors[perm[w]] == colors[w] for w in range(h.n))
+            )
+
+
 RIGID = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4], [1, 4, 5], [0, 5], [0, 3]])
 # the same edge sizes and degrees, one edge moved
 PARTNER = Hypergraph(6, [[0, 1, 2], [2, 3], [3, 4], [1, 4, 5], [0, 5], [2, 5]])

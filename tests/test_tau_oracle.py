@@ -5,17 +5,19 @@ rebuilds the uncovered-edge list at every node, counts degrees in dicts and
 bounds by a greedy packing of whole edges and ``ceil(|unc| / Delta)``.  The
 bitset ``tau`` must return the same tau, witness and method on every host of
 the corpus below, and may only explore fewer nodes, since its bounds are at
-least as strong, the branching is unchanged, and a root child skipped by the
+least as strong, the branching is unchanged, and a child skipped by the
 orbit rule holds nothing smaller than the incumbent.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import linhyp.core
 import linhyp.solver
 from linhyp.algebra import (
     affine_plane,
@@ -36,7 +38,13 @@ from linhyp.core import (
 )
 from linhyp.probability import ShrinkConfig, shrink
 from linhyp.rng import SplitMix64
-from linhyp.solver import TransversalResult, tau, tau_bruteforce
+from linhyp.solver import (
+    _EXACT_DEGREE,
+    TransversalResult,
+    _fractional_weights,
+    tau,
+    tau_bruteforce,
+)
 
 from corpus import random_host, relabel
 
@@ -167,6 +175,17 @@ REGULAR_RIGID = Hypergraph(20, [
 CYCLE_AND_EDGE = Hypergraph(9, [(i, (i + 1) % 7) for i in range(7)] + [(7, 8)])
 
 
+# Circulants on Z_n, one edge {i + s : s in shape} per i: vertex-transitive,
+# with point stabilisers that vary with the shape.  With the orbit rule at
+# every node and an unbounded budget, a stabiliser colouring that dropped
+# the chosen class would skip children that hold the only optima on each of
+# them.
+CIRCULANTS = [
+    (f"Z{n}{shape}", Hypergraph(n, [[(i + d) % n for d in shape] for i in range(n)]))
+    for n, shape in ((8, (0, 3)), (9, (0, 1, 5)), (12, (0, 1, 5)), (13, (0, 1, 7)))
+]
+
+
 def _corpus() -> list[tuple[str, Hypergraph]]:
     corpus = [(name, special(name)) for name in NAMES]
     for q in (2, 3, 4, 5):
@@ -192,6 +211,7 @@ def _corpus() -> list[tuple[str, Hypergraph]]:
         [0, 1, 8], [0, 10, 19], [1, 6, 14], [1, 9, 16], [2, 12, 13], [3, 5, 13],
         [3, 16, 19], [4, 7, 9], [8, 11, 17], [10, 11, 14], [10, 12, 23], [16, 20, 24],
     ])))
+    corpus += CIRCULANTS
     corpus.append(("regular-rigid", REGULAR_RIGID))
     corpus.append(("cycle-and-edge", CYCLE_AND_EDGE))
     corpus.append(("isolated", Hypergraph(9, [[0, 2, 4], [2, 5], [4, 5, 7], [0, 7]])))
@@ -225,6 +245,36 @@ def test_fractional_packing_prunes_where_the_other_bounds_miss():
     assert got.nodes_explored == 1 < want.nodes_explored
 
 
+def test_fractional_weights_are_exact_on_the_corpus():
+    # no corpus host has a degree above the exact range, so the cap on L
+    # changes no search of the corpus
+    for name, h in CORPUS:
+        delta = max(h.degrees(), default=0)
+        big, weight = _fractional_weights(delta)
+        assert big == lcm(*range(1, delta + 1)), name
+        assert all(weight[d] * d == big for d in range(1, delta + 1)), name
+
+
+def test_fractional_weights_round_down_above_the_exact_degree():
+    big, weight = _fractional_weights(2000)
+    assert big == lcm(*range(1, _EXACT_DEGREE + 1)) == 720720
+    assert all(weight[d] * d <= big < (weight[d] + 1) * d for d in range(1, 2001))
+    star = Hypergraph(2001, [(0, v) for v in range(1, 2001)])
+    got = tau(star)
+    assert (got.tau, got.witness, got.nodes_explored) == (1, (0,), 1)
+    # dense graphs with maximum degree 22 to 28, whose searches run the
+    # rounded weights at every node
+    rng = SplitMix64(0xDE17A)
+    for n in range(24, 32):
+        h = Hypergraph(n, [
+            (a, b) for a in range(n) for b in range(a + 1, n) if rng.randbelow(100) < 80
+        ])
+        assert max(h.degrees()) > _EXACT_DEGREE
+        got, want = tau(h), oracle_tau(h)
+        assert (got.tau, got.witness) == (want.tau, want.witness), n
+        assert got.nodes_explored < want.nodes_explored, n
+
+
 @given(st.data())
 @settings(max_examples=200, deadline=None)
 def test_tau_matches_bruteforce_and_oracle_on_random_linear(data):
@@ -241,8 +291,30 @@ def test_tau_matches_bruteforce_and_oracle_on_random_linear(data):
 
 def _unpruned_tau(h: Hypergraph, monkeypatch) -> TransversalResult:
     with monkeypatch.context() as m:
-        m.setattr(linhyp.solver, "_first_orbit", lambda h, first, spent: None)
+        m.setattr(linhyp.solver, "_orbit_test", lambda autos, first: lambda v: False)
         return tau(h)
+
+
+def _spy_root_queries(monkeypatch) -> list[tuple[int, int, object]]:
+    """Record (u, v, answer) for every automorphism query made at the root
+    of tau: there the chosen set C is empty, so no vertex has C's colour."""
+    asked = []
+    restricted, mapping = Automorphisms.restricted, Automorphisms.mapping
+
+    def spy_restricted(self, colors, budget):
+        out = restricted(self, colors, budget)
+        out.at_root = 1 not in colors
+        return out
+
+    def spy_mapping(self, u, v):
+        found = mapping(self, u, v)
+        if self.at_root:
+            asked.append((u, v, found))
+        return found
+
+    monkeypatch.setattr(Automorphisms, "restricted", spy_restricted)
+    monkeypatch.setattr(Automorphisms, "mapping", spy_mapping)
+    return asked
 
 
 def test_orbit_rule_keeps_tau_and_witness(monkeypatch):
@@ -259,22 +331,44 @@ def test_orbit_rule_keeps_tau_and_witness(monkeypatch):
     assert len(fired) >= 6, fired
 
 
+def test_orbit_rule_at_every_node_keeps_tau_and_witness(monkeypatch):
+    # every searched child may build a test for its later siblings (the
+    # parent-found gate still applies), with a budget that lets every
+    # automorphism search finish, so the rule fires far more often than
+    # under the measured ratios
+    monkeypatch.setattr(linhyp.solver, "_TEST_NODES", 0)
+    monkeypatch.setattr(linhyp.solver, "_ROUND_NODES", 1e-9)
+    fired = []
+    for name, h in CORPUS:
+        got, want = tau(h), oracle_tau(h)
+        assert (got.tau, got.witness) == (want.tau, want.witness), name
+        if got.nodes_explored < _unpruned_tau(h, monkeypatch).nodes_explored:
+            fired.append(name)
+    assert {name for name, _ in CIRCULANTS} <= set(fired)
+    assert len(fired) >= 40, fired
+
+
 def test_orbit_rule_node_counts(monkeypatch):
-    # nodes before the orbit rule: 5,503, 1,985 and 70,761; with the orbit
-    # rule but before the fractional-packing bound: 1,986, 650, 28,881 and
-    # (affine_residual(7, 5)) 4,707
-    asked = []
-    mapping = Automorphisms.mapping
-    monkeypatch.setattr(
-        Automorphisms, "mapping", lambda self, u, v: asked.append(v) or mapping(self, u, v)
-    )
-    assert tau(affine_plane(5)).nodes_explored == 1671
-    # the orbit is closed under both automorphisms found, so of the four
-    # later root children only two need a search
+    # nodes before the orbit rule: 5,503, 1,985 and 70,761; with the rule at
+    # the root only, before the fractional-packing bound: 1,986, 650, 28,881
+    # and (affine_residual(7, 5)) 4,707; with it: 1,671, 558, 25,938 and 3,032
+    asked = _spy_root_queries(monkeypatch)
+    assert tau(affine_plane(5)).nodes_explored == 559
+    # the root's orbit is closed under both automorphisms found, so of the
+    # four later root children only two need a search
+    assert [v for _, v, found in asked if found is not None] == [v for _, v, _ in asked]
     assert len(asked) == 2
     assert tau(affine_residual(5, 1)).nodes_explored == 558
-    assert tau(onh(g30())).nodes_explored == 25938
-    assert tau(affine_residual(7, 5)).nodes_explored == 3032
+    assert tau(onh(g30())).nodes_explored == 8118
+    assert tau(affine_residual(7, 5)).nodes_explored == 660
+
+
+def test_orbit_rule_below_the_root_on_ag7():
+    # 943,062 nodes with the rule at the root only
+    got = tau(affine_plane(7))
+    assert got.tau == 13
+    assert got.witness == (0, 1, 2, 3, 4, 5, 6, 7, 14, 21, 28, 35, 42)
+    assert got.nodes_explored == 58431
 
 
 def test_root_child_outside_the_first_orbit_is_searched(monkeypatch):
@@ -288,20 +382,34 @@ def test_root_child_outside_the_first_orbit_is_searched(monkeypatch):
     assert h.edges[0] == (0, 3)
     t = tau(h).tau
     assert tau(shrink_remove(h, [0], [])).tau + 1 > t  # no optimum through 0
-    asked = []
-    mapping = Automorphisms.mapping
-
-    def spy(self, u, v):
-        found = mapping(self, u, v)
-        asked.append((u, v, found))
-        return found
-
-    monkeypatch.setattr(Automorphisms, "mapping", spy)
+    asked = _spy_root_queries(monkeypatch)
     got = tau(h)
     assert asked and asked[0][:2] == (0, 3) and all(f is None for *_, f in asked)
     want = oracle_tau(h)
     assert (got.tau, got.witness) == (want.tau, want.witness)
     assert 3 in got.witness and 0 not in got.witness
+
+
+def test_orbit_tests_stop_below_a_trivial_stabiliser(monkeypatch):
+    # The circulant on Z_60 with edges {i, i+1, i+7} is vertex-transitive, so
+    # the root's children are one orbit, but no automorphism fixes a vertex
+    # and moves another.  Every test below the root then finds nothing, and
+    # only the subtrees of children searched before any test of their
+    # parent's may test again: 44 refinement rounds in all, against 250
+    # with every node testing (and 9 with the rule at the root only).
+    h = Hypergraph(60, [(i, (i + 1) % 60, (i + 7) % 60) for i in range(60)])
+    rounds = []
+    refine = linhyp.core._refine
+
+    def counting(*args, **kwargs):
+        out = refine(*args, **kwargs)
+        rounds.append(out[1])
+        return out
+
+    monkeypatch.setattr(linhyp.core, "_refine", counting)
+    got = tau(h)
+    assert (got.tau, got.nodes_explored) == (23, 20469)
+    assert sum(rounds) == 44
 
 
 @pytest.mark.parametrize("name,h", CORPUS, ids=[name for name, _ in CORPUS])
