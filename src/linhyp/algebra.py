@@ -130,28 +130,17 @@ class FiniteField:
         ]
 
     def add(self, a: tuple, b: tuple) -> tuple:
-        if self.e == 1:
-            return ((a[0] + b[0]) % self.p,)
         return tuple((x + y) % self.p for x, y in zip(a, b))
-
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        if self.e == 1:
-            return ((a[0] - b[0]) % self.p,)
-        return tuple((x - y) % self.p for x, y in zip(a, b))
 
     def neg(self, a: tuple) -> tuple:
         return tuple((-x) % self.p for x in a)
 
     def mul(self, a: tuple, b: tuple) -> tuple:
-        if self.e == 1:
-            return ((a[0] * b[0]) % self.p,)
         return _poly_mul_mod(a, b, self.modulus, self.p)
 
     def inv(self, a: tuple) -> tuple:
         if a == self.zero():
             raise ZeroDivisionError("zero has no inverse")
-        if self.e == 1:
-            return (pow(a[0], self.p - 2, self.p),)
         # q-2 power via square and multiply
         result = self.one()
         base = a

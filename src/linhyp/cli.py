@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import time
@@ -221,7 +222,7 @@ def cmd_prob_bound(args, argv) -> int:
             "k": args.k,
             "n": args.n,
             "c": args.c,
-            "bound": value,
+            "bound": value if math.isfinite(value) else None,
             "less_than_one": value < 1,
             "manifest": _manifest(argv, t0),
         }

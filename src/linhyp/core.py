@@ -479,13 +479,14 @@ class Automorphisms:
     colouring one round at a time, and only as far as the queries need:
     once u and v differ in colour, no such automorphism maps u to v, and the
     query needs no search.  On a rigid host that takes a round or two, where
-    the equitable colouring may take several.  Once the budget is spent
-    every query answers None.
+    the equitable colouring may take several.  The budget is unlimited
+    unless set by :meth:`restricted`; once it is spent every query answers
+    None.
     """
 
-    def __init__(self, h: Hypergraph, budget: Optional[int] = None):
+    def __init__(self, h: Hypergraph):
         self.h = h
-        self.left = math.inf if budget is None else budget
+        self.left = math.inf
         self.colors = [0] * h.n
         self.equitable = False
         self._inc = _incidence_lists(h.n, h.edges)

@@ -218,34 +218,8 @@ def _plan(kind: str) -> _Plan:
     )
 
     # The edge automorphisms are the mappings of the pattern onto itself.
-    # The search on the pattern keeps the first mapping of each coset of the
-    # stabilizer chain along the steps: ``cosets[s]`` holds those that fix
-    # the edges of the earlier steps but move that of step s, one for each
-    # image of it.  Every automorphism is a product t_0 t_1 ... of one
-    # mapping of each step (or the identity).
-    cosets: list[list[tuple[int, ...]]] = [[] for _ in steps]
-
-    def representative(values: list[int], used: int, placed: int) -> int:
-        g = tuple(values[n:])
-        for s, step in enumerate(steps):
-            if g[step.edge] != step.edge:
-                cosets[s].append(g)
-                return s
-        return len(steps) - 1
-
-    _search(_index(pattern), plan, representative)
-    group = [tuple(range(m))]
-    for level in reversed(cosets):
-        group += [itemgetter(*g)(t) for t in level for g in group]
-    # The products hold the identity and are generated by the mappings
-    # found, so they form a group iff right multiplication by each mapping
-    # found keeps them inside.
-    elements = set(group)
-    times = [itemgetter(*t) for level in cosets for t in level]  # g -> g t
-    if tuple(range(m)) not in elements or any(
-        right(g) not in elements for right in times for g in group
-    ):
-        raise CertificateError(f"the automorphisms found for {kind} are not a group")
+    group: list[tuple[int, ...]] = []
+    _search(_index(pattern), plan, lambda values, used, placed: group.append(tuple(values[n:])))
 
     # Grochow-Kellis conditions: along the steps, the edge of each step takes
     # the least image over its orbit under the automorphisms fixing the edges
@@ -254,29 +228,44 @@ def _plan(kind: str) -> _Plan:
     # through an earlier step's bounds is dropped.
     step_of = {step.edge: s for s, step in enumerate(steps)}
     bounds: list[set[int]] = [set() for _ in steps]
-    for step, level in zip(steps, cosets):
-        for t in level:
-            bounds[step_of[t[step.edge]]].add(step.edge)
+    times = []  # g -> g t, for one automorphism t per bound
+    stabilizer = group
+    for step in steps:
+        e = step.edge
+        for t in stabilizer:
+            if t[e] != e and e not in bounds[step_of[t[e]]]:
+                bounds[step_of[t[e]]].add(e)
+                times.append(itemgetter(*t))
+        stabilizer = [g for g in stabilizer if g[e] == e]
     below: list[set[int]] = []  # edges whose image lies below each step's
     after = []
     for bound in bounds:
         implied = set().union(*(below[step_of[e]] for e in bound))
         below.append(bound | implied)
         after.append(tuple(sorted(bound - implied)))
+
+    # Those automorphisms, one per bound, generate the group: the mappings
+    # found, each once, form it iff they hold the identity and right
+    # multiplication by each generator keeps them inside.
+    elements = set(group)
+    if len(elements) < len(group) or tuple(range(m)) not in elements or any(
+        right(g) not in elements for right in times for g in group
+    ):
+        raise CertificateError(f"the automorphisms found for {kind} are not a group")
     return replace(plan, group=tuple(group), after=tuple(after))
 
 
 def _search(
-    index: _Index, plan: _Plan, leaf: Callable[[list[int], int, int], int]
+    index: _Index, plan: _Plan, leaf: Callable[[list[int], int, int], None]
 ) -> None:
     """Call ``leaf(values, used, placed)`` at each mapping of the plan's
-    pattern into the indexed host that meets the plan's conditions.
+    pattern into the indexed host that meets the plan's conditions, once
+    each; with no conditions, on the pattern itself, these are its edge
+    automorphisms.
 
     ``values`` holds the image of vertex v at v and of edge e at n + e, with
     degree-1 vertices left unset; ``used`` is the mask of the image edges and
-    ``placed`` the mask of the images of the degree >= 2 vertices.  The leaf
-    returns the step whose next candidate the search goes on with: the last
-    step, or an earlier one to skip the rest of that step's current subtree.
+    ``placed`` the mask of the images of the degree >= 2 vertices.
     """
     n, steps, after = plan.n, plan.steps, plan.after
     masks, incidence = index.masks, index.incidence
@@ -286,15 +275,16 @@ def _search(
     values = [0] * len(plan.layout)  # vertex images, then edge images
     step_masks = [0] * len(steps)
 
-    def extend(s: int, used: int, placed: int) -> int:
+    def extend(s: int, used: int, placed: int) -> None:
         if s == len(steps):
-            return leaf(values, used, placed)
+            leaf(values, used, placed)
+            return
         step = steps[s]
         allowed = fit[s] & ~used
         for e in after[s]:
             allowed &= -2 << values[n + e]
         if not allowed:
-            return s
+            return
         apart = 0  # no vertex of the image may lie in these
         for t in step.apart:
             apart |= step_masks[t]
@@ -336,10 +326,7 @@ def _search(
                 else:
                     values[n + step.edge] = hi
                     step_masks[s] = hm
-                    back = extend(s + 1, used | edge, now)
-                    if back < s:
-                        return back
-        return s
+                    extend(s + 1, used | edge, now)
 
     extend(0, 0, 0)
 
@@ -361,12 +348,12 @@ def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
     by consecutive calls on the same host.
 
     The mappings onto one edge set are any one of them composed with each
-    edge automorphism of the pattern (the group is found by the same search,
-    run on the pattern).  Symmetry-breaking conditions (Grochow and Kellis,
-    RECOMB 2007) let exactly one of them through: along the step order, an
-    edge in the orbit of an earlier step's edge, under the automorphisms
-    fixing the edges of the steps before that one, must take a larger host
-    edge index than that edge's image.  A second mapping reaching an edge
+    edge automorphism of the pattern (the group is every mapping of the
+    pattern onto itself that the same search finds).  Symmetry-breaking
+    conditions (Grochow and Kellis, RECOMB 2007) let exactly one of them
+    through: along the step order, an edge in the orbit of an earlier step's
+    edge, under the automorphisms fixing the edges of the steps before that
+    one, must take a larger host edge index than that edge's image.  A second mapping reaching an edge
     set raises ``CertificateError``, so this is checked on every call.
 
     Each copy is reported by its representative: of the mapping found
@@ -374,25 +361,24 @@ def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
     lists, over the pattern edges in the order "next = least index touching
     the mapped region", the host edge index and then the images of the
     pattern vertices that edge newly maps.  The list is sorted by
-    ``edge_indices``.
+    ``edge_indices``.  H4's copies are the host's 4-edges.
     """
     pattern = special(kind)
     if host.n < pattern.n or host.m < pattern.m:
         return []
     if kind == "H4":
-        # every single edge is a copy
+        # every single 4-edge is a copy
         return [
-            Embedding("H4", tuple(e), (i,)) for i, e in enumerate(host.edges)
+            Embedding("H4", e, (i,)) for i, e in enumerate(host.edges) if len(e) == 4
         ]
     plan = _plan(kind)
     index = _host_index(host)
     n, masks = plan.n, index.masks
     crossings, leaves, key_of = plan.crossings, plan.leaves, itemgetter(*plan.layout)
-    last = len(plan.steps) - 1
     image = [0] * len(plan.layout)  # a mapping composed with an automorphism
     best: dict[int, tuple[int, ...]] = {}  # edge-set bitmask -> least key
 
-    def least_key(values: list[int], used: int, placed: int) -> int:
+    def least_key(values: list[int], used: int, placed: int) -> None:
         if used in best:
             raise CertificateError(f"two mappings of {kind} reach edge set {members(used)}")
         edges = values[n:]
@@ -410,7 +396,6 @@ def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
                     slots ^= low
             keys.append(key_of(image))
         best[used] = min(keys)
-        return last
 
     _search(index, plan, least_key)
     found = [
@@ -473,7 +458,7 @@ def deficiency(
     defic(X) is ``weight - 13 |touch & ~own|``.  The bound adds to that the
     weights of the later candidates vertex-disjoint from X.  None of those
     can absorb an E*(X) edge: every edge of an edge-induced copy lies inside
-    its vertex set (H4's one edge too, of any size).  Ties on the value break
+    its vertex set.  Ties on the value break
     toward the lexicographically least edge-index footprint.  The value is
     never below 0 (the empty set is admissible).  If given, ``visitor`` is
     called once on every special set the search forms, in search order; the

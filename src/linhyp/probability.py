@@ -69,14 +69,18 @@ def balanced_bound(k: int, n: int, t_size: int) -> Fraction:
 
 def final_bound(k: int, n: int, c: float) -> float:
     """exp(|T| ln n - n / (5 * 2^{s*})) with |T| = floor(c ln(k)/k * n) and
-    s* = 2 c ln k; an upper bound for the success probability."""
+    s* = 2 c ln k; an upper bound for the success probability, ``math.inf``
+    once the exponent is beyond float range."""
     if k < 2 or n < 2:
         raise ArgumentError("need k >= 2 and n >= 2")
     if not 0 < c < 1 / math.log(4):
         raise ArgumentError("need 0 < c < 1/ln 4")
     t_size = math.floor(c * math.log(k) / k * n)
     s_star = 2 * c * math.log(k)
-    return math.exp(t_size * math.log(n) - n / (5 * 2**s_star))
+    try:
+        return math.exp(t_size * math.log(n) - n / (5 * 2**s_star))
+    except OverflowError:
+        return math.inf
 
 
 def check_condition(k: int, c: float, n: int, coefficient: float = 5.0) -> bool:
@@ -85,8 +89,8 @@ def check_condition(k: int, c: float, n: int, coefficient: float = 5.0) -> bool:
     A relative guard band keeps representation noise from flipping the
     strict inequality near the boundary.
     """
-    if k < 2 or n < 2 or c <= 0:
-        raise ArgumentError("need k >= 2, n >= 2, c > 0")
+    if k < 2 or n < 2 or c <= 0 or not coefficient > 0:
+        raise ArgumentError("need k >= 2, n >= 2, c > 0, coefficient > 0")
     lhs = coefficient * c * math.log(k) * math.log(n)
     rhs = k ** (1 - c * math.log(4))
     return lhs * (1 + GUARD_BAND) < rhs
@@ -112,6 +116,8 @@ def threshold_scan(k_lo: int, k_hi: int, coefficient: float = 5.0) -> ThresholdS
     """
     if not 2 <= k_lo <= k_hi:
         raise ArgumentError("need 2 <= k_lo <= k_hi")
+    if not coefficient > 0:
+        raise ArgumentError("need coefficient > 0")
     results = []
     for k in range(k_lo, k_hi + 1):
         c = remark_c(k)
@@ -148,6 +154,8 @@ def coefficient_threshold(coefficient: float, k_hi: int = 20000) -> int | None:
     completely different range (see threshold_scan), so both views are
     exposed and any mismatch is the caller's to report.
     """
+    if not coefficient > 0:
+        raise ArgumentError("need coefficient > 0")
     target = math.log(coefficient)
     good_from = None
     for k in range(k_hi, 1, -1):

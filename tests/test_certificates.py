@@ -82,22 +82,40 @@ def fresh_plans():
 
 
 def test_automorphisms_that_are_no_group_raise(monkeypatch, fresh_plans):
-    # Stop the search on the pattern after three mappings: the identity, the
-    # swap of the edges of H10's last two steps and one mapping that moves
-    # the third step's edge.  Their four products fix the first two edges, so
-    # they lie in a group of order 6, and are no group themselves.
+    # Pass on only the first three mappings the search on the pattern finds:
+    # the identity, the swap of the edges of H10's last two steps and the
+    # swap of the third step's edge with the fourth.  They fix the first two
+    # edges, so they lie in a group of order 6, and are no group themselves.
     search = deficiency_module._search
 
     def truncated(index, plan, leaf):
         seen = []
 
         def first_three(values, used, placed):
-            seen.append(leaf(values, used, placed))
-            return seen[-1] if len(seen) < 3 else -1
+            seen.append(used)
+            if len(seen) <= 3:
+                leaf(values, used, placed)
 
         search(index, plan, first_three)
 
     monkeypatch.setattr(deficiency_module, "_search", truncated)
+    with pytest.raises(CertificateError, match="not a group"):
+        deficiency_module._plan("H10")
+
+
+def test_automorphism_found_twice_raises(monkeypatch, fresh_plans):
+    # every mapping of H10 onto itself, the identity twice: a group as a set
+    search = deficiency_module._search
+
+    def repeated(index, plan, leaf):
+        def identity_twice(values, used, placed):
+            leaf(values, used, placed)
+            if values[plan.n:] == sorted(values[plan.n:]):
+                leaf(values, used, placed)
+
+        search(index, plan, identity_twice)
+
+    monkeypatch.setattr(deficiency_module, "_search", repeated)
     with pytest.raises(CertificateError, match="not a group"):
         deficiency_module._plan("H10")
 
@@ -211,8 +229,9 @@ def test_embedding_checks_survive_python_O():
         "def truncated(index, plan, leaf):\n"
         "    seen = []\n"
         "    def first_three(values, used, placed):\n"
-        "        seen.append(leaf(values, used, placed))\n"
-        "        return seen[-1] if len(seen) < 3 else -1\n"
+        "        seen.append(used)\n"
+        "        if len(seen) <= 3:\n"
+        "            leaf(values, used, placed)\n"
         "    search(index, plan, first_three)\n"
         "module._search = truncated\n"
         "try:\n"

@@ -239,6 +239,20 @@ def test_probability_argument_exit_code(capsys):
     assert "k >= 2" in err
 
 
+@pytest.mark.parametrize("coefficient", ["0", "-1", "nan"])
+def test_non_positive_coefficient_exit_code(capsys, coefficient):
+    code, out, err = run(capsys, "prob", "threshold", "--coefficient", coefficient)
+    assert code == EXIT_USAGE and out == ""
+    assert "coefficient > 0" in err
+
+
+def test_prob_bound_beyond_float_range(capsys):
+    code, out, _ = run(capsys, "prob", "bound", "--k", "1000", "--n", "1000000000", "--c", "0.3")
+    assert code == EXIT_OK
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+    assert payload["bound"] is None and payload["less_than_one"] is False
+
+
 def test_non_integer_guard_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "f9.hg"
     run(capsys, "gen", "--family", "ag", "--q", "3", "--out", str(path))

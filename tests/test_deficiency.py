@@ -1,6 +1,6 @@
 """Special-set machinery: embeddings, E*, deficiency, key inequality."""
 
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +81,28 @@ class TestFindEmbeddings:
     def test_edge_automorphism_group_orders(self):
         orders = [len(_plan(kind).group) for kind in NAMES if kind != "H4"]
         assert orders == [120, 12, 4, 36, 6, 8, 48, 14, 8, 72, 12, 8, 48, 8]
+
+    @pytest.mark.parametrize("kind", ["H10", "H11"] + [f"H14_{i}" for i in range(1, 7)])
+    def test_groups_match_edge_permutations_keeping_meets(self, kind):
+        # In a linear 4-uniform pattern an edge permutation comes from a
+        # vertex automorphism iff it keeps which edges meet and which triples
+        # of edges share a vertex: those fix the degree >= 2 vertices, and the
+        # degree-1 vertices fill the remaining slots of each edge.
+        edges = [set(e) for e in special(kind).edges]
+        pairs = list(combinations(range(len(edges)), 2))
+        triples = list(combinations(range(len(edges)), 3))
+
+        def keeps_meets(g):
+            return all(
+                len(edges[a] & edges[b]) == len(edges[g[a]] & edges[g[b]]) for a, b in pairs
+            ) and all(
+                bool(edges[a] & edges[b] & edges[c])
+                == bool(edges[g[a]] & edges[g[b]] & edges[g[c]])
+                for a, b, c in triples
+            )
+
+        want = {g for g in permutations(range(len(edges))) if keeps_meets(g)}
+        assert set(_plan(kind).group) == want
 
     def test_conditions_bound_later_steps_by_their_orbits(self):
         def closure(bounds, edges):
@@ -189,6 +211,15 @@ class TestDeficiency:
         value, argmax = deficiency(h)
         assert value == 10 + 8
         assert sorted(e.kind for e in argmax.embeddings) == ["H10", "H4"]
+
+    def test_only_4_edges_are_h4_copies(self):
+        # H4 has 4 vertices: a 3-edge or a 6-edge is no copy of it
+        h = Hypergraph(7, [[0, 1, 2], [3, 4, 5, 6]])
+        assert [e.edge_indices for e in find_embeddings(h, "H4")] == [(1,)]
+        assert deficiency(h)[0] == 8
+        lone = Hypergraph(6, [range(6)])
+        assert find_embeddings(lone, "H4") == []
+        assert deficiency(lone)[0] == 0
 
 
 class TestXTransversalSize:

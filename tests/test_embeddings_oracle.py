@@ -30,8 +30,6 @@ def oracle_find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
     pattern = special(kind)
     if host.n < pattern.n or host.m < pattern.m:
         return []
-    if kind == "H4":
-        return [Embedding("H4", tuple(e), (i,)) for i, e in enumerate(host.edges)]
     host_deg = host.degrees()
     pat_deg = pattern.degrees()
     order = [0]

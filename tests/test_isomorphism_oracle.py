@@ -199,13 +199,15 @@ def test_budget_exhaustion_returns_none():
     # the budget counts refinement rounds, shared by the colouring of H and
     # every query: too few give None, never a wrong answer
     h = relabel(affine_plane(5), 3)
-    found = [Automorphisms(h, budget).mapping(0, 1) for budget in range(24)]
+    found = [
+        Automorphisms(h).restricted([0] * h.n, budget).mapping(0, 1) for budget in range(24)
+    ]
     least = next(b for b, perm in enumerate(found) if perm is not None)
     assert least >= 4 and found[:least] == [None] * least
     for perm in found[least:]:
         assert perm is not None and perm[0] == 1 and is_automorphism(h, perm)
     assert Automorphisms(h).mapping(0, 1) == found[least]
-    autos = Automorphisms(h, least)
+    autos = Automorphisms(h).restricted([0] * h.n, least)
     assert autos.mapping(0, 1) is not None and autos.mapping(0, 2) is None
     assert autos.left == 0
 

@@ -144,6 +144,9 @@ class TestFinalBound:
         with pytest.raises(ArgumentError):
             final_bound(2, 10, 0.9)
 
+    def test_exponent_beyond_float_range(self):
+        assert final_bound(1000, 10**9, 0.3) == math.inf
+
 
 class TestCondition:
     def test_tiny_k_false(self):
@@ -169,6 +172,16 @@ class TestThresholdScan:
     def test_coefficient_envelope_values(self):
         assert coefficient_threshold(2.0) == 23
         assert coefficient_threshold(1.5) == 54
+
+    @pytest.mark.parametrize("coefficient", [0.0, -1.0, math.nan])
+    def test_coefficient_must_be_positive(self, coefficient):
+        with pytest.raises(ArgumentError):
+            coefficient_threshold(coefficient)
+        with pytest.raises(ArgumentError):
+            check_condition(3000, 0.25, 10**3, coefficient=coefficient)
+        # no k of this window meets the hypothesis on c, so the scan itself checks
+        with pytest.raises(ArgumentError):
+            threshold_scan(2, 5, coefficient=coefficient)
 
     def test_outer_scan_disagrees_with_envelope(self):
         # the literal outer inequality puts the relaxed thresholds far away;
