@@ -69,14 +69,27 @@ def balanced_bound(k: int, n: int, t_size: int) -> Fraction:
 
 def final_bound(k: int, n: int, c: float) -> float:
     """exp(|T| ln n - n / (5 * 2^{s*})) with |T| = floor(c ln(k)/k * n) and
-    s* = 2 c ln k; an upper bound for the success probability, ``math.inf``
-    once the exponent is beyond float range."""
+    s* = 2 c ln k; an upper bound for the success probability.
+
+    Once the exponent is beyond float range the bound is ``math.inf`` or
+    0.0, by the exponent's sign.  For n beyond float range that sign comes
+    from logarithms of the ints: the exponent is positive iff
+    ln|T| + ln ln n + ln 5 + s* ln 2 > ln n, to double precision."""
     if k < 2 or n < 2:
         raise ArgumentError("need k >= 2 and n >= 2")
     if not 0 < c < 1 / math.log(4):
         raise ArgumentError("need 0 < c < 1/ln 4")
-    t_size = math.floor(c * math.log(k) / k * n)
+    rate = c * math.log(k) / k
     s_star = 2 * c * math.log(k)
+    try:
+        t_size = math.floor(rate * n)
+    except OverflowError:  # n itself is no float
+        t_size = math.floor(Fraction(rate) * n)
+        if not t_size:
+            return 0.0
+        log_gain = math.log(t_size) + math.log(math.log(n))  # ln(|T| ln n)
+        log_loss = math.log(n) - math.log(5) - s_star * math.log(2)  # ln(n / (5 * 2^s*))
+        return math.inf if log_gain > log_loss else 0.0
     try:
         return math.exp(t_size * math.log(n) - n / (5 * 2**s_star))
     except OverflowError:

@@ -19,11 +19,12 @@ from .core import Automorphisms, CertificateError, Graph, Hypergraph, onh, verte
 # Measured cost ratios, not settings.  The unit is one search node per unit
 # of mean edge size: a node scans the m uncovered edges, while one
 # refinement round of H or H + H passes over all their incidences and costs
-# 2 to 4 units on the plane and ONH hosts.  A child whose subtree took fewer
-# than _TEST_NODES units builds no automorphism test for its later siblings
-# (a test on a symmetric host refines H and then H + H a few rounds each);
-# otherwise the test may spend one round per _ROUND_NODES units, so it costs
-# at most about as much as that subtree did.
+# 2 to 4 units on the plane and ONH hosts.  A subtree's size is its searched
+# nodes plus one per child that the dominance rule skipped in it.  A child
+# whose subtree took fewer than _TEST_NODES units builds no automorphism test
+# for its later siblings (a test on a symmetric host refines H and then
+# H + H a few rounds each); otherwise the test may spend one round per
+# _ROUND_NODES units, so it costs at most about as much as that subtree did.
 _TEST_NODES = 40
 _ROUND_NODES = 4
 # The fractional-packing weights L // d are exact up to this residual degree:
@@ -160,14 +161,38 @@ def tau(h: Hypergraph) -> TransversalResult:
     child j or leaves the path to child j at a child searched before it,
     here or above.  So once child j is searched, the incumbent is no larger
     than any transversal that holds C + {vj} (by induction in search order:
-    every subtree left was searched, pruned by a bound or skipped by this
-    rule).  A transversal T searched by child i holds C + {vi}; sigma^-1(T)
-    holds C + {vj} and has the size of T, so child i holds nothing smaller
-    than the incumbent.  The incumbent only changes on a strictly smaller
+    every subtree left was searched, pruned by a bound, or skipped by this
+    rule or by the dominance rule below).  A transversal T searched by child
+    i holds C + {vi}; sigma^-1(T) holds C + {vj} and has the size of T, so
+    child i holds nothing smaller than the incumbent.  The incumbent only changes on a strictly smaller
     transversal, so skipping child i is a bound prune and changes neither
     tau nor the witness.  The skipped vertex stays forbidden in the later
     children, as if child i had been searched.  The forbidden vertices need
     no colour class of their own: sigma need not fix them.
+
+    Dominance rule, at every node: once a child has been searched or
+    skipped by the orbit rule, a later child v of residual degree 1 is
+    skipped.  Children go in descending residual degree, so every child
+    after v has degree 1 too and the node is done.  This is the degree-one
+    case of the vertex-domination reduction (Weihe, *Covering trains by
+    stations or the power of data reduction*, ALEX 1998; Akiba and Iwata,
+    *Branch-and-reduce exponential/FPT algorithms in practice*, Theor.
+    Comput. Sci. 2016).  Proof, the orbit rule's exchange argument with
+    T - v + u in place of sigma^-1(T): for an earlier child u, the only
+    uncovered edge through v is the picked part's edge, which holds u too,
+    so unc & inc[v] is a subset of unc & inc[u].  A transversal T searched
+    by child v holds C + {v} and avoids the vertices forbidden there, a
+    superset of those forbidden at child u; T - v + u holds C + {u}, avoids
+    the vertices forbidden at child u, covers every edge and is no larger
+    than T.  Once child u is searched or skipped, the incumbent is no larger
+    than any such transversal (as in the orbit rule), so child v holds
+    nothing smaller than the incumbent, and the skip changes neither tau
+    nor the witness.  The argument needs no
+    linearity, and the test reads the degree the sort already computed.
+    ``nodes_explored`` counts searched nodes only, but each skipped child
+    counts one unit of the subtree size that gates the orbit tests:
+    without it the skips shrink subtrees under ``_TEST_NODES``, fewer tests
+    get built, and some hosts take more nodes than before.
 
     Automorphisms come from :class:`~linhyp.core.Automorphisms`, with C as
     one colour class, under a budget of refinement rounds in proportion to
@@ -194,15 +219,16 @@ def tau(h: Hypergraph) -> TransversalResult:
     greedy = _greedy_cover(inc, everything)
     best_size = len(greedy)
     best_set = list(greedy)
-    nodes = 0
+    nodes = dominated = 0
     autos: Optional[Automorphisms] = None  # built when the first test is due
     edge_size = 0.0
 
     def build_test(
         chosen: list[int], first: int, spent: int
     ) -> Optional[Callable[[int], bool]]:
-        # spent: the nodes of first's subtree; divided by the mean edge size
-        # it is in the unit of _TEST_NODES and _ROUND_NODES
+        # spent: the nodes of first's subtree, plus one per child that the
+        # dominance rule skipped there; divided by the mean edge size it is
+        # in the unit of _TEST_NODES and _ROUND_NODES
         nonlocal autos, edge_size
         if not edge_size:
             edge_size = sum(map(len, h.edges)) / h.m
@@ -217,7 +243,7 @@ def tau(h: Hypergraph) -> TransversalResult:
         return _orbit_test(autos.restricted(colors, int(spent // _ROUND_NODES)), first)
 
     def dfs(unc: int, chosen: list[int], forbidden: int, testing: bool) -> None:
-        nonlocal best_size, best_set, nodes
+        nonlocal best_size, best_set, nodes, dominated
         nodes += 1
         if not unc:
             if len(chosen) < best_size:
@@ -279,16 +305,22 @@ def tau(h: Hypergraph) -> TransversalResult:
         tests: list[Callable[[int], bool]] = []
         skipped = False  # whether this node's tests found an automorphism
         down = testing  # whether the next child's subtree may build tests
-        for _, bit in order:
+        for i, (minus_degree, bit) in enumerate(order):
+            if i and minus_degree == -1:
+                # dominance rule: this child and every later one (the sort
+                # puts them last) have residual degree 1
+                dominated += len(order) - i
+                break
             if tests and any(test(bit.bit_length() - 1) for test in tests):
                 skipped = down = True
             else:
-                before = nodes
+                before = nodes + dominated
                 chosen.append(bit.bit_length() - 1)
                 dfs(unc & ~inc_at[bit], chosen, banned, down)
                 v = chosen.pop()
-                if testing and nodes - before >= _TEST_NODES:
-                    test = build_test(chosen, v, nodes - before)
+                spent = nodes + dominated - before
+                if testing and spent >= _TEST_NODES:
+                    test = build_test(chosen, v, spent)
                     if test is not None:
                         tests.append(test)
                         down = skipped

@@ -253,6 +253,15 @@ def test_prob_bound_beyond_float_range(capsys):
     assert payload["bound"] is None and payload["less_than_one"] is False
 
 
+@pytest.mark.parametrize("c,bound,less_than_one", [("0.3", None, False), ("1e-9", 0.0, True)])
+def test_prob_bound_for_n_beyond_float_range(capsys, c, bound, less_than_one):
+    code, out, _ = run(capsys, "prob", "bound", "--k", "2", "--n", str(10**400), "--c", c)
+    assert code == EXIT_OK
+    payload = json.loads(out, parse_constant=lambda name: pytest.fail(f"{name} is not JSON"))
+    assert payload["n"] == 10**400
+    assert payload["bound"] == bound and payload["less_than_one"] is less_than_one
+
+
 def test_non_integer_guard_exit_code(tmp_path, capsys, monkeypatch):
     path = tmp_path / "f9.hg"
     run(capsys, "gen", "--family", "ag", "--q", "3", "--out", str(path))

@@ -147,6 +147,20 @@ class TestFinalBound:
     def test_exponent_beyond_float_range(self):
         assert final_bound(1000, 10**9, 0.3) == math.inf
 
+    @pytest.mark.parametrize("n", [10**400, 2**1024, 2**1024 - 1], ids=["1e400", "2^1024", "2^1024-1"])
+    @pytest.mark.parametrize("c,want", [(0.3, math.inf), (1e-9, 0.0)])
+    def test_n_beyond_float_range(self, n, c, want):
+        # |T| > 0 both times; the sign of |T| ln n - n / (5 * 2^s*) decides
+        with pytest.raises(OverflowError):
+            float(n)
+        assert math.floor(Fraction(c * math.log(2) / 2) * n) > 0
+        assert final_bound(2, n, c) == want
+
+    def test_empty_t_beyond_float_range(self):
+        # |T| = 0 leaves only -n / (5 * 2^s*)
+        assert math.floor(Fraction(1e-320 * math.log(2) / 2) * 2**1024) == 0
+        assert final_bound(2, 2**1024, 1e-320) == 0.0
+
 
 class TestCondition:
     def test_tiny_k_false(self):

@@ -351,24 +351,27 @@ def test_orbit_rule_at_every_node_keeps_tau_and_witness(monkeypatch):
 def test_orbit_rule_node_counts(monkeypatch):
     # nodes before the orbit rule: 5,503, 1,985 and 70,761; with the rule at
     # the root only, before the fractional-packing bound: 1,986, 650, 28,881
-    # and (affine_residual(7, 5)) 4,707; with it: 1,671, 558, 25,938 and 3,032
+    # and (affine_residual(7, 5)) 4,707; with it: 1,671, 558, 25,938 and 3,032;
+    # with the rule at every node, before the dominance rule: 559, 558, 8,118
+    # and 660
     asked = _spy_root_queries(monkeypatch)
-    assert tau(affine_plane(5)).nodes_explored == 559
+    assert tau(affine_plane(5)).nodes_explored == 466
     # the root's orbit is closed under both automorphisms found, so of the
     # four later root children only two need a search
     assert [v for _, v, found in asked if found is not None] == [v for _, v, _ in asked]
     assert len(asked) == 2
-    assert tau(affine_residual(5, 1)).nodes_explored == 558
-    assert tau(onh(g30())).nodes_explored == 8118
-    assert tau(affine_residual(7, 5)).nodes_explored == 660
+    assert tau(affine_residual(5, 1)).nodes_explored == 465
+    assert tau(onh(g30())).nodes_explored == 1528
+    assert tau(affine_residual(7, 5)).nodes_explored == 469
 
 
 def test_orbit_rule_below_the_root_on_ag7():
-    # 943,062 nodes with the rule at the root only
+    # 943,062 nodes with the rule at the root only, and 58,431 before the
+    # dominance rule
     got = tau(affine_plane(7))
     assert got.tau == 13
     assert got.witness == (0, 1, 2, 3, 4, 5, 6, 7, 14, 21, 28, 35, 42)
-    assert got.nodes_explored == 58431
+    assert got.nodes_explored == 48481
 
 
 def test_root_child_outside_the_first_orbit_is_searched(monkeypatch):
@@ -395,8 +398,9 @@ def test_orbit_tests_stop_below_a_trivial_stabiliser(monkeypatch):
     # the root's children are one orbit, but no automorphism fixes a vertex
     # and moves another.  Every test below the root then finds nothing, and
     # only the subtrees of children searched before any test of their
-    # parent's may test again: 44 refinement rounds in all, against 250
-    # with every node testing (and 9 with the rule at the root only).
+    # parent's may test again: 33 refinement rounds in all, against 106
+    # with every node testing (and 9 with the rule at the root only).  Before
+    # the dominance rule: 20,469 nodes, and 44 rounds against 265.
     h = Hypergraph(60, [(i, (i + 1) % 60, (i + 7) % 60) for i in range(60)])
     rounds = []
     refine = linhyp.core._refine
@@ -408,8 +412,35 @@ def test_orbit_tests_stop_below_a_trivial_stabiliser(monkeypatch):
 
     monkeypatch.setattr(linhyp.core, "_refine", counting)
     got = tau(h)
-    assert (got.tau, got.nodes_explored) == (23, 20469)
-    assert sum(rounds) == 44
+    assert (got.tau, got.nodes_explored) == (23, 5715)
+    assert sum(rounds) == 33
+
+
+# The root's pick is the edge {0, 4}: vertex 4 has residual degree 3, and
+# vertex 0 lies in no other edge, so once child 4 is searched the dominance
+# rule skips child 0 (3 nodes before the rule).
+PENDANT = Hypergraph(10, [[0, 4], [1, 6, 8, 9], [1, 7, 8], [2, 4, 6, 8], [2, 4, 7], [3, 6]])
+
+
+def test_dominance_rule_at_every_node_keeps_tau_and_witness(monkeypatch):
+    # With the orbit rule off, every child that is not searched is skipped by
+    # the dominance rule, which runs at every node with no gate: the first
+    # child is always searched, and a later child only if its residual degree
+    # is above 1.  Skipping more (a first child of degree 1, or later ones of
+    # degree 2) loses optima on the corpus and on these small mixed hosts.
+    got = _unpruned_tau(PENDANT, monkeypatch)
+    assert (got.tau, got.witness, got.nodes_explored) == (3, (1, 3, 4), 2)
+    rng = SplitMix64(0xD0E1)
+    hosts = list(CORPUS) + [
+        (f"small({i})", random_host(rng, 4 + rng.randbelow(12), 1 + rng.randbelow(14), 5))
+        for i in range(400)
+    ]
+    for name, h in hosts:
+        got, want = _unpruned_tau(h, monkeypatch), oracle_tau(h)
+        assert (got.tau, got.witness) == (want.tau, want.witness), name
+        assert got.nodes_explored <= want.nodes_explored, name
+        if h.n <= 16:
+            assert got.tau == tau_bruteforce(h).tau, name
 
 
 @pytest.mark.parametrize("name,h", CORPUS, ids=[name for name, _ in CORPUS])
