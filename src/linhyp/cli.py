@@ -153,15 +153,20 @@ def cmd_gen(args, argv) -> int:
     return _write_hg(args, argv, t0, h, comment, comment)
 
 
-def cmd_solve(args, argv) -> int:
-    t0 = time.perf_counter()
-    h, inputs = _load(args.file)
+def _solve_guard(h: Hypergraph) -> None:
+    """Refuse an exact ``tau`` search on a host above the solve guard."""
     limit = _guard("solve_n")
     if h.n > limit:
         raise GuardExceeded(
             f"n={h.n} beyond solve guard {limit} "
             f"(override with {GUARD_ENV['solve_n'][0]})"
         )
+
+
+def cmd_solve(args, argv) -> int:
+    t0 = time.perf_counter()
+    h, inputs = _load(args.file)
+    _solve_guard(h)
     res = tau(h)
     _emit(
         {
@@ -198,6 +203,7 @@ def cmd_defic(args, argv) -> int:
 def cmd_dual(args, argv) -> int:
     t0 = time.perf_counter()
     h, inputs = _load(args.file)
+    _solve_guard(h)
     g = dual_graph(h)
     alpha = max_matching_general(g).size
     t = tau(h).tau

@@ -164,11 +164,12 @@ def tau(h: Hypergraph) -> TransversalResult:
     every subtree left was searched, pruned by a bound, or skipped by this
     rule or by the dominance rule below).  A transversal T searched by child
     i holds C + {vi}; sigma^-1(T) holds C + {vj} and has the size of T, so
-    child i holds nothing smaller than the incumbent.  The incumbent only changes on a strictly smaller
-    transversal, so skipping child i is a bound prune and changes neither
-    tau nor the witness.  The skipped vertex stays forbidden in the later
-    children, as if child i had been searched.  The forbidden vertices need
-    no colour class of their own: sigma need not fix them.
+    child i holds nothing smaller than the incumbent.  The incumbent only
+    changes on a strictly smaller transversal, so skipping child i is a
+    bound prune and changes neither tau nor the witness.  The skipped vertex
+    stays forbidden in the later children, as if child i had been searched.
+    The forbidden vertices need no colour class of their own: sigma need not
+    fix them.
 
     Dominance rule, at every node: once a child has been searched or
     skipped by the orbit rule, a later child v of residual degree 1 is
@@ -187,8 +188,8 @@ def tau(h: Hypergraph) -> TransversalResult:
     than T.  Once child u is searched or skipped, the incumbent is no larger
     than any such transversal (as in the orbit rule), so child v holds
     nothing smaller than the incumbent, and the skip changes neither tau
-    nor the witness.  The argument needs no
-    linearity, and the test reads the degree the sort already computed.
+    nor the witness.  The argument needs no linearity, and the test reads
+    the degree the sort already computed.
     ``nodes_explored`` counts searched nodes only, but each skipped child
     counts one unit of the subtree size that gates the orbit tests:
     without it the skips shrink subtrees under ``_TEST_NODES``, fewer tests
@@ -198,10 +199,7 @@ def tau(h: Hypergraph) -> TransversalResult:
     one colour class, under a budget of refinement rounds in proportion to
     child j's subtree (see ``_TEST_NODES`` and ``_ROUND_NODES``); a search
     that finds none skips nothing.  Each node may build one test per
-    searched child, and a child's subtree may build tests only if its
-    parent's tests, if any, found an automorphism: below a node whose
-    stabiliser came out trivial, the stabiliser of the larger C is usually
-    trivial too.
+    searched child.
     """
     masks = h.edge_masks()
     if not masks:
@@ -242,7 +240,7 @@ def tau(h: Hypergraph) -> TransversalResult:
             colors[v] = 1
         return _orbit_test(autos.restricted(colors, int(spent // _ROUND_NODES)), first)
 
-    def dfs(unc: int, chosen: list[int], forbidden: int, testing: bool) -> None:
+    def dfs(unc: int, chosen: list[int], forbidden: int) -> None:
         nonlocal best_size, best_set, nodes, dominated
         nodes += 1
         if not unc:
@@ -303,30 +301,25 @@ def tau(h: Hypergraph) -> TransversalResult:
         order.sort()
         banned = forbidden
         tests: list[Callable[[int], bool]] = []
-        skipped = False  # whether this node's tests found an automorphism
-        down = testing  # whether the next child's subtree may build tests
         for i, (minus_degree, bit) in enumerate(order):
             if i and minus_degree == -1:
                 # dominance rule: this child and every later one (the sort
                 # puts them last) have residual degree 1
                 dominated += len(order) - i
                 break
-            if tests and any(test(bit.bit_length() - 1) for test in tests):
-                skipped = down = True
-            else:
+            if not (tests and any(test(bit.bit_length() - 1) for test in tests)):
                 before = nodes + dominated
                 chosen.append(bit.bit_length() - 1)
-                dfs(unc & ~inc_at[bit], chosen, banned, down)
+                dfs(unc & ~inc_at[bit], chosen, banned)
                 v = chosen.pop()
                 spent = nodes + dominated - before
-                if testing and spent >= _TEST_NODES:
+                if spent >= _TEST_NODES:
                     test = build_test(chosen, v, spent)
                     if test is not None:
                         tests.append(test)
-                        down = skipped
             banned |= bit
 
-    dfs(everything, [], 0, True)
+    dfs(everything, [], 0)
     result = TransversalResult(
         best_size, tuple(sorted(best_set)), nodes, "branch_and_bound"
     )

@@ -312,17 +312,13 @@ def _check_property_n(
 
     T3 = {a, b} misses every transversal that hits T1 and T2 iff a and b
     both do, so with W the low-degree vertices outside T1 and T2 in no such
-    transversal, the bad T3 are the independent pairs within W.  When every
-    minimum transversal hits T1 and T2, W is the low-degree vertices in no
-    minimum transversal at all; that "never" mask is computed once, and it
-    is empty wherever item (g) passes.
+    transversal, the bad T3 are the independent pairs within W.
     """
     lowdeg = [v for v in range(h.n) if deg[v] <= 2]
     triples = _independent_triples(lowdeg, adj)
     sets = [vertex_mask(t) for t in triples]
     hits = [idx.hitting(t) for t in triples]
     low_hits = [(1 << v, idx.by_vertex[v]) for v in lowdeg]
-    never = vertex_mask(v for v in lowdeg if not idx.by_vertex[v])
     bad = []
     for i1, t1 in enumerate(triples):
         s1, m1 = sets[i1], hits[i1]
@@ -330,15 +326,10 @@ def _check_property_n(
             if s1 & sets[i2]:
                 continue
             m12 = m1 & hits[i2]
-            if m12 == idx.full:
-                if not never:
-                    continue
-                w = never
-            else:
-                w = 0
-                for bit, bv in low_hits:
-                    if not bv & m12:
-                        w |= bit
+            w = 0
+            for bit, bv in low_hits:
+                if not bv & m12:
+                    w |= bit
             w &= ~(s1 | sets[i2])
             for a in members(w):
                 for b in members(w & ~adj[a] & ~((2 << a) - 1)):

@@ -300,6 +300,16 @@ def test_guard_exit_code(tmp_path, capsys, monkeypatch):
     assert "guard" in err
 
 
+def test_dual_honours_solve_guard(tmp_path, capsys, monkeypatch):
+    # dual runs the exact tau search, so the solve guard bounds it too
+    path = tmp_path / "h10.hg"
+    run(capsys, "gen", "--family", "special", "--name", "H10", "--out", str(path))
+    monkeypatch.setenv("LINHYP_GUARD_SOLVE_N", "5")
+    code, out, err = run(capsys, "dual", str(path))
+    assert code == EXIT_GUARD
+    assert "guard" in err and not out
+
+
 def test_bad_file_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.hg"
     path.write_text("p hg 3 1\ne 1 9\n")
