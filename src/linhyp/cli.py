@@ -1,10 +1,16 @@
 """Command line surface: gen | solve | defic | dual | prob | verify.
 
 argparse does the dispatch: each leaf command binds its own handler with
-``set_defaults(func=...)``, and ``main`` calls it.  Every JSON output embeds
-a run manifest (argv, version, seeds, input hashes, elapsed milliseconds).
-Exit codes: 0 success / all pass, 1 check failed, 2 usage error, 3 guard
-exceeded.
+``set_defaults(func=...)``, and ``main`` calls it.  A handler takes only the
+parsed ``args`` and computes; it returns ``(payload, passed)``, where
+``payload`` is its JSON dict, or ``None`` when it already wrote non-JSON
+output (``.hg`` text or the ``--table`` view), and ``passed`` is False when a
+check failed.
+
+``main`` owns the output: it hashes the input file before the handler runs,
+appends the run manifest (argv, version, elapsed milliseconds, input hashes,
+seed) to the payload, writes the JSON, and picks the exit code: 0 success /
+all pass, 1 check failed, 2 usage error, 3 guard exceeded.
 """
 
 from __future__ import annotations
@@ -78,7 +84,7 @@ def _guard(name: str) -> int:
         raise ArgumentError(f"{env} must be an integer, not {raw!r}") from None
 
 
-def _manifest(argv, t0: float, inputs: dict[str, str] | None = None, seed=None):
+def _manifest(argv, t0: float, inputs: dict[str, str] | None, seed):
     out = {
         "argv": argv,
         "version": __version__,
@@ -91,33 +97,13 @@ def _manifest(argv, t0: float, inputs: dict[str, str] | None = None, seed=None):
     return out
 
 
-def _load(path) -> tuple[Hypergraph, dict[str, str]]:
-    """The ``.hg`` file at ``path``, with its manifest ``input_sha256`` entry."""
-    h = hgio.load(path)
-    return h, {str(path): hashlib.sha256(Path(path).read_bytes()).hexdigest()}
-
-
-def _write_hg(args, argv, t0: float, h: Hypergraph, comment: str,
-              stdout_comment: str | None, inputs=None) -> int:
-    """Write ``h`` to ``--out`` and emit a summary, or print its ``.hg`` text."""
+def _write_hg(args, h: Hypergraph, comment: str, stdout_comment: str | None):
+    """Write ``h`` to ``--out`` and return a summary, or print its ``.hg`` text."""
     if not args.out:
         sys.stdout.write(hgio.dumps(h, comment=stdout_comment))
-        return EXIT_OK
+        return None, True
     hgio.dump(h, args.out, comment=comment)
-    _emit(
-        {
-            "written": str(args.out),
-            "n": h.n,
-            "m": h.m,
-            "manifest": _manifest(argv, t0, inputs, args.seed),
-        }
-    )
-    return EXIT_OK
-
-
-def _emit(payload: dict) -> None:
-    json.dump(payload, sys.stdout, indent=2, default=_jsonable)
-    sys.stdout.write("\n")
+    return {"written": str(args.out), "n": h.n, "m": h.m}, True
 
 
 def _jsonable(obj):
@@ -140,8 +126,7 @@ def _dot_incidence(h: Hypergraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_gen(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_gen(args):
     make, names = FAMILIES[args.family]
     missing = [f"--{n.replace('_', '-')}" for n in names if getattr(args, n) is None]
     if missing:
@@ -150,7 +135,7 @@ def cmd_gen(args, argv) -> int:
     comment = f"generated by linhyp gen --family {args.family}"
     if args.dot:
         Path(args.dot).write_text(_dot_incidence(h), encoding="ascii")
-    return _write_hg(args, argv, t0, h, comment, comment)
+    return _write_hg(args, h, comment, comment)
 
 
 def _solve_guard(h: Hypergraph) -> None:
@@ -163,130 +148,91 @@ def _solve_guard(h: Hypergraph) -> None:
         )
 
 
-def cmd_solve(args, argv) -> int:
-    t0 = time.perf_counter()
-    h, inputs = _load(args.file)
+def cmd_solve(args):
+    h = hgio.load(args.file)
     _solve_guard(h)
     res = tau(h)
-    _emit(
-        {
-            "tau": res.tau,
-            "witness": [v + 1 for v in res.witness],
-            "nodes": res.nodes_explored,
-            "method": res.method,
-            "manifest": _manifest(argv, t0, inputs),
-        }
-    )
-    return EXIT_OK
+    return {
+        "tau": res.tau,
+        "witness": [v + 1 for v in res.witness],
+        "nodes": res.nodes_explored,
+        "method": res.method,
+    }, True
 
 
-def cmd_defic(args, argv) -> int:
-    t0 = time.perf_counter()
-    h, inputs = _load(args.file)
+def cmd_defic(args):
+    h = hgio.load(args.file)
     value, xset = deficiency(h, guard_n=_guard("defic_n"))
     counts = xset.partition_counts()
-    _emit(
-        {
-            "value": value,
-            "set": [
-                {"kind": e.kind, "edges": [i + 1 for i in e.edge_indices]}
-                for e in xset.embeddings
-            ],
-            "estar": sorted(i + 1 for i in estar(h, xset)),
-            "partition_counts": {f"X{k}": v for k, v in counts.items()},
-            "manifest": _manifest(argv, t0, inputs),
-        }
-    )
-    return EXIT_OK
+    return {
+        "value": value,
+        "set": [
+            {"kind": e.kind, "edges": [i + 1 for i in e.edge_indices]}
+            for e in xset.embeddings
+        ],
+        "estar": sorted(i + 1 for i in estar(h, xset)),
+        "partition_counts": {f"X{k}": v for k, v in counts.items()},
+    }, True
 
 
-def cmd_dual(args, argv) -> int:
-    t0 = time.perf_counter()
-    h, inputs = _load(args.file)
+def cmd_dual(args):
+    h = hgio.load(args.file)
     _solve_guard(h)
     g = dual_graph(h)
     alpha = max_matching_general(g).size
     t = tau(h).tau
     holds = t == h.m - alpha
-    _emit(
-        {
-            "m": h.m,
-            "alpha_prime": alpha,
-            "tau": t,
-            "identity_holds": holds,
-            "manifest": _manifest(argv, t0, inputs),
-        }
-    )
-    return EXIT_OK if holds else EXIT_CHECK_FAILED
+    return {"m": h.m, "alpha_prime": alpha, "tau": t, "identity_holds": holds}, holds
 
 
-def cmd_prob_bound(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_prob_bound(args):
     value = final_bound(args.k, args.n, args.c)
-    _emit(
-        {
-            "k": args.k,
-            "n": args.n,
-            "c": args.c,
-            "bound": value if math.isfinite(value) else None,
-            "less_than_one": value < 1,
-            "manifest": _manifest(argv, t0),
-        }
-    )
-    return EXIT_OK
+    return {
+        "k": args.k,
+        "n": args.n,
+        "c": args.c,
+        "bound": value if math.isfinite(value) else None,
+        "less_than_one": value < 1,
+    }, True
 
 
-def cmd_prob_threshold(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_prob_threshold(args):
     scan = threshold_scan(args.k_lo, args.k_hi, coefficient=args.coefficient)
-    _emit(
-        {
-            "coefficient": args.coefficient,
-            "window": list(scan.window),
-            "threshold": scan.threshold,
-            "non_monotone_at": list(scan.non_monotone_at),
-            "envelope_threshold": coefficient_threshold(args.coefficient),
-            "manifest": _manifest(argv, t0),
-        }
-    )
-    return EXIT_OK
+    return {
+        "coefficient": args.coefficient,
+        "window": list(scan.window),
+        "threshold": scan.threshold,
+        "non_monotone_at": list(scan.non_monotone_at),
+        "envelope_threshold": coefficient_threshold(args.coefficient),
+    }, True
 
 
-def cmd_prob_envelope(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_prob_envelope(args):
     mx, argmax = claim_c3_envelope()
-    _emit({"max": mx, "argmax": argmax, "manifest": _manifest(argv, t0)})
-    return EXIT_OK
+    return {"max": mx, "argmax": argmax}, True
 
 
-def cmd_prob_shrink(args, argv) -> int:
-    t0 = time.perf_counter()
-    h, inputs = _load(args.file)
+def cmd_prob_shrink(args):
+    h = hgio.load(args.file)
     out = shrink(h, ShrinkConfig(k=args.k, seed=args.seed))
     comment = f"shrunk with k={args.k} seed={args.seed}"
-    return _write_hg(args, argv, t0, out, comment, None, inputs)
+    return _write_hg(args, out, comment, None)
 
 
-def cmd_prob_mc(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_prob_mc(args):
     prof = mc_tau_profile(args.p, args.trials, args.seed)
-    _emit(
-        {
-            "p": prof.p,
-            "k": prof.k,
-            "trials": prof.trials,
-            "tau_min": prof.tau_min,
-            "tau_mean": prof.tau_mean,
-            "tau_max": prof.tau_max,
-            "frac_exceeding_bound": prof.frac_exceeding_bound,
-            "manifest": _manifest(argv, t0, seed=args.seed),
-        }
-    )
-    return EXIT_OK
+    return {
+        "p": prof.p,
+        "k": prof.k,
+        "trials": prof.trials,
+        "tau_min": prof.tau_min,
+        "tau_mean": prof.tau_mean,
+        "tau_max": prof.tau_max,
+        "frac_exceeding_bound": prof.frac_exceeding_bound,
+    }, True
 
 
-def cmd_verify_catalog(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_verify_catalog(args):
     payload = {"subjects": {}, "all_passed": True}
     for kind, rep in catalog_report().items():
         identity = defic_identity_check(kind)
@@ -305,9 +251,7 @@ def cmd_verify_catalog(args, argv) -> int:
         }
         payload["subjects"][kind] = entry
         payload["all_passed"] &= entry["passed"]
-    payload["manifest"] = _manifest(argv, t0)
-    _emit(payload)
-    return EXIT_OK if payload["all_passed"] else EXIT_CHECK_FAILED
+    return payload, payload["all_passed"]
 
 
 def _bounds_corpus(args) -> list[tuple[str, Hypergraph]]:
@@ -330,11 +274,13 @@ def _bounds_corpus(args) -> list[tuple[str, Hypergraph]]:
     )
 
 
-def cmd_verify_bounds(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_verify_bounds(args):
+    corpus = _bounds_corpus(args)
+    for _, h in corpus:
+        _solve_guard(h)
     results = []
     all_ok = True
-    for name, h in _bounds_corpus(args):
+    for name, h in corpus:
         try:
             res = bound_check(h, args.bound)
         except HypothesisViolation as exc:
@@ -350,19 +296,10 @@ def cmd_verify_bounds(args, argv) -> int:
             }
         )
         all_ok &= res.holds
-    _emit(
-        {
-            "bound": args.bound,
-            "results": results,
-            "all_passed": all_ok,
-            "manifest": _manifest(argv, t0),
-        }
-    )
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    return {"bound": args.bound, "results": results, "all_passed": all_ok}, all_ok
 
 
-def cmd_verify_mainyy(args, argv) -> int:
-    t0 = time.perf_counter()
+def cmd_verify_mainyy(args):
     q = args.q
     if q < 2:
         raise ArgumentError(f"--q must be at least 2, not {q}")
@@ -370,18 +307,18 @@ def cmd_verify_mainyy(args, argv) -> int:
     rows = []
     for s in range(1, q + 1):
         h = algebra.affine_residual(q, s)
+        _solve_guard(h)
         t = tau(h).tau
         rows.append((s, t, h.n, h.m, Fraction(h.n + h.m, q + 1)))
         oks[s] = mainyy_identities_hold(q, s, h, t)
     all_ok = all(oks.values())
-    if args.table:
-        print(f"residuals of the order-{q} affine plane")
-        print(f"{'|X|':>4} {'tau':>4} {'n':>4} {'m':>4} {'(n+m)/(q+1)':>12}")
-        for s, t, n, m, ratio in rows:
-            print(f"{s:>4} {t:>4} {n:>4} {m:>4} {str(ratio):>12}")
-    else:
-        _emit({"q": q, "per_s": oks, "all_passed": all_ok, "manifest": _manifest(argv, t0)})
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    if not args.table:
+        return {"q": q, "per_s": oks, "all_passed": all_ok}, all_ok
+    print(f"residuals of the order-{q} affine plane")
+    print(f"{'|X|':>4} {'tau':>4} {'n':>4} {'m':>4} {'(n+m)/(q+1)':>12}")
+    for s, t, n, m, ratio in rows:
+        print(f"{s:>4} {t:>4} {n:>4} {m:>4} {str(ratio):>12}")
+    return None, all_ok
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -465,14 +402,25 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    t0 = time.perf_counter()
     try:
-        return args.func(args, argv)
+        # hashed before the handler runs, which may overwrite the file
+        inputs = (
+            {args.file: hashlib.sha256(Path(args.file).read_bytes()).hexdigest()}
+            if hasattr(args, "file") else None
+        )
+        payload, passed = args.func(args)
+        if payload is not None:
+            payload["manifest"] = _manifest(argv, t0, inputs, getattr(args, "seed", None))
+            json.dump(payload, sys.stdout, indent=2, default=_jsonable)
+            sys.stdout.write("\n")
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)
         return EXIT_GUARD
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 
 if __name__ == "__main__":

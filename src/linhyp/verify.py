@@ -382,13 +382,8 @@ def _check_property_p(h, deg, check_double_h4: bool = True):
     for v in range(h.n):
         if deg[v] != 2:
             continue
-        kept_edges = [e for e in h.edges if v not in e]
-        kept_vertices = [u for u in range(h.n) if u != v]
-        rid = {u: i for i, u in enumerate(kept_vertices)}
-        sub = Hypergraph(
-            len(kept_vertices), [[rid[u] for u in e] for e in kept_edges]
-        )
-        comps = components(sub)
+        sub = Hypergraph(h.n, [e for e in h.edges if v not in e])
+        comps = [c for c in components(sub) if c != {v}]
         if len(comps) == 2:
             if min(len(c) for c in comps) != 1:
                 return False, f"H - {v} has two non-trivial components"

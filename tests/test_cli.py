@@ -429,3 +429,74 @@ def test_verify_mainyy_order_below_two_is_usage_error(q, table, capsys):
     code, out, err = run(capsys, "verify", "mainyy", "--q", q, *table)
     assert (code, out) == (EXIT_USAGE, "")
     assert err == f"error: --q must be at least 2, not {q}\n"
+
+
+@pytest.mark.parametrize("table", [(), ("--table",)])
+def test_verify_mainyy_honours_solve_guard(table, capsys, monkeypatch):
+    # the order-3 residuals have n = 6..8, so a guard of 5 refuses s = 1 first
+    monkeypatch.setenv("LINHYP_GUARD_SOLVE_N", "5")
+    code, out, err = run(capsys, "verify", "mainyy", "--q", "3", *table)
+    assert (code, out) == (EXIT_GUARD, "")
+    assert err.startswith("guard exceeded: n=8 ")
+
+
+def test_verify_bounds_honours_solve_guard(tmp_path, capsys, monkeypatch):
+    run(capsys, "gen", "--family", "special", "--name", "H10",
+        "--out", str(tmp_path / "H10.hg"))
+    monkeypatch.setenv("LINHYP_GUARD_SOLVE_N", "5")
+    code, out, err = run(
+        capsys, "verify", "bounds", "--bound", "MAIN5", "--corpus", str(tmp_path)
+    )
+    assert (code, out) == (EXIT_GUARD, "")
+    assert err.startswith("guard exceeded: n=10 ")
+
+
+# A JSON command's argv ({host} is an H10 file, {dir} the folder holding it),
+# and the manifest keys it adds to argv, version and elapsed_ms.
+MANIFEST_CASES = {
+    "solve": (["solve", "{host}"], {"input_sha256"}),
+    "defic": (["defic", "{host}"], {"input_sha256"}),
+    "dual": (["dual", "{host}"], {"input_sha256"}),
+    "gen": (["gen", "--family", "ag", "--q", "3", "--out", "{dir}/ag.hg"], set()),
+    "gen-seed": (
+        ["gen", "--family", "random", "--n", "12", "--k", "3", "--max-deg", "2",
+         "--m-target", "5", "--seed", "3", "--out", "{dir}/r.hg"],
+        {"seed"},
+    ),
+    "prob-shrink": (
+        ["prob", "shrink", "{host}", "--k", "2", "--seed", "3", "--out", "{dir}/s.hg"],
+        {"input_sha256", "seed"},
+    ),
+    "prob-shrink-in-place": (
+        ["prob", "shrink", "{host}", "--k", "2", "--seed", "3", "--out", "{host}"],
+        {"input_sha256", "seed"},
+    ),
+    "prob-mc": (["prob", "mc", "--p", "3", "--trials", "2", "--seed", "3"], {"seed"}),
+    "prob-bound": (["prob", "bound", "--k", "5", "--n", "100", "--c", "0.5"], set()),
+    "prob-threshold": (["prob", "threshold", "--k-lo", "2750", "--k-hi", "2751"], set()),
+    "prob-envelope": (["prob", "envelope"], set()),
+    "verify-catalog": (["verify", "catalog"], set()),
+    "verify-bounds": (["verify", "bounds", "--bound", "MAIN5", "--corpus", "{dir}"], set()),
+    "verify-mainyy": (["verify", "mainyy", "--q", "3"], set()),
+}
+
+
+@pytest.mark.parametrize("case", list(MANIFEST_CASES))
+def test_manifest_keys(case, tmp_path, capsys):
+    host = tmp_path / "H10.hg"
+    run(capsys, "gen", "--family", "special", "--name", "H10", "--out", str(host))
+    before = host.read_bytes()
+    template, extra = MANIFEST_CASES[case]
+    argv = [a.format(host=host, dir=tmp_path) for a in template]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    manifest = payload["manifest"]
+    assert set(manifest) == {"argv", "version", "elapsed_ms"} | extra
+    assert manifest["argv"] == argv
+    if "input_sha256" in extra:
+        # the digest of the input as read, even when the command overwrote it
+        assert manifest["input_sha256"] == {str(host): hashlib.sha256(before).hexdigest()}
+    if case == "prob-shrink-in-place":
+        assert host.read_bytes() != before
+    if "seed" in extra:
+        assert manifest["seed"] == 3
