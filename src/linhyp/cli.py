@@ -39,7 +39,7 @@ from .probability import (
     threshold_scan,
 )
 from .solver import GuardExceeded, tau
-from .verify import BOUND_IDS, HypothesisViolation, bound_check, catalog_report, defic_identity_check, mainyy_identities_hold
+from .verify import BOUND_IDS, HypothesisViolation, bound_check, bound_value, catalog_report, defic_identity_check, mainyy_identities_hold
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -138,19 +138,20 @@ def cmd_gen(args):
     return _write_hg(args, h, comment, comment)
 
 
-def _solve_guard(h: Hypergraph) -> None:
-    """Refuse an exact ``tau`` search on a host above the solve guard."""
+def _solve_guard(n: int) -> None:
+    """Refuse an exact ``tau`` search on a host of ``n`` vertices above the
+    solve guard."""
     limit = _guard("solve_n")
-    if h.n > limit:
+    if n > limit:
         raise GuardExceeded(
-            f"n={h.n} beyond solve guard {limit} "
+            f"n={n} beyond solve guard {limit} "
             f"(override with {GUARD_ENV['solve_n'][0]})"
         )
 
 
 def cmd_solve(args):
     h = hgio.load(args.file)
-    _solve_guard(h)
+    _solve_guard(h.n)
     res = tau(h)
     return {
         "tau": res.tau,
@@ -177,7 +178,7 @@ def cmd_defic(args):
 
 def cmd_dual(args):
     h = hgio.load(args.file)
-    _solve_guard(h)
+    _solve_guard(h.n)
     g = dual_graph(h)
     alpha = max_matching_general(g).size
     t = tau(h).tau
@@ -275,17 +276,23 @@ def _bounds_corpus(args) -> list[tuple[str, Hypergraph]]:
 
 
 def cmd_verify_bounds(args):
-    corpus = _bounds_corpus(args)
-    for _, h in corpus:
-        _solve_guard(h)
+    # hypotheses first: the guard only refuses hosts that would be solved
+    hosts = []
+    for name, h in _bounds_corpus(args):
+        try:
+            bound_value(h, args.bound)
+        except HypothesisViolation as exc:
+            hosts.append((name, h, str(exc)))
+            continue
+        _solve_guard(h.n)
+        hosts.append((name, h, None))
     results = []
     all_ok = True
-    for name, h in corpus:
-        try:
-            res = bound_check(h, args.bound)
-        except HypothesisViolation as exc:
-            results.append({"name": name, "skipped": str(exc)})
+    for name, h, skipped in hosts:
+        if skipped:
+            results.append({"name": name, "skipped": skipped})
             continue
+        res = bound_check(h, args.bound)
         results.append(
             {
                 "name": name,
@@ -303,11 +310,13 @@ def cmd_verify_mainyy(args):
     q = args.q
     if q < 2:
         raise ArgumentError(f"--q must be at least 2, not {q}")
+    if algebra.prime_power(q) is None:
+        raise algebra.AlgebraError(f"{q} is not a prime power")
+    _solve_guard(q * q - 1)  # before any plane is built: s = 1 is the largest
     oks = {}
     rows = []
     for s in range(1, q + 1):
         h = algebra.affine_residual(q, s)
-        _solve_guard(h)
         t = tau(h).tau
         rows.append((s, t, h.n, h.m, Fraction(h.n + h.m, q + 1)))
         oks[s] = mainyy_identities_hold(q, s, h, t)

@@ -216,13 +216,9 @@ def max_matching_general(g: Graph) -> Matching:
 
 
 def odd_components(g: Graph, removed: frozenset[int]) -> int:
-    sub_edges = [
-        (a, b) for a, b in g.edges if a not in removed and b not in removed
-    ]
-    keep = [v for v in range(g.n) if v not in removed]
-    rid = {v: i for i, v in enumerate(keep)}
-    sub = Graph(len(keep), [(rid[a], rid[b]) for a, b in sub_edges])
-    return sum(1 for comp in components(sub) if len(comp) % 2 == 1)
+    # the removed vertices stay behind as isolated singletons, counted out below
+    sub = Graph(g.n, [e for e in g.edges if removed.isdisjoint(e)])
+    return sum(1 for comp in components(sub) if len(comp) % 2 == 1) - len(removed)
 
 
 def tutte_berge_certificate(g: Graph, guard_n: int = 20) -> tuple[frozenset[int], int]:

@@ -4,8 +4,9 @@ The property suite re-does the "verified by computer" work for every special
 hypergraph: structural values, minimum-transversal coverage properties, and
 the two component conditions.  It works on bitmasks: each vertex carries
 the index mask of the minimum transversals through it and the vertex mask
-of its co-edged neighbours.  Bound checks always validate their hypotheses
-before comparing.
+of its co-edged neighbours; items (h)-(m) read their failing sets off
+``apart``.  Bound checks always validate their hypotheses, in
+``bound_value``, before comparing.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .algebra import affine_residual
 from .catalog import NAMES, SHAPES, DEFIC_WEIGHT, order_class, special
@@ -68,16 +69,21 @@ def _adjacency_masks(h: Hypergraph) -> list[int]:
     return [a & ~(1 << v) for v, a in enumerate(adj)]
 
 
+def _independent_pairs(mask: int, adj: list[int]) -> list[tuple[int, int]]:
+    """The non-adjacent pairs within ``mask``, in lexicographic order."""
+    return [
+        (a, b) for a in members(mask) for b in members(mask & ~adj[a] & ~((2 << a) - 1))
+    ]
+
+
 def _independent_triples(lowdeg: list[int], adj: list[int]) -> list[tuple[int, int, int]]:
     """The independent triples of ``lowdeg``, in lexicographic order."""
     low = vertex_mask(lowdeg)
-    out = []
-    for a in lowdeg:
-        later_a = low & ~adj[a] & ~((2 << a) - 1)
-        for b in members(later_a):
-            for c in members(later_a & ~adj[b] & ~((2 << b) - 1)):
-                out.append((a, b, c))
-    return out
+    return [
+        (a, b, c)
+        for a in lowdeg
+        for b, c in _independent_pairs(low & ~adj[a] & ~((2 << a) - 1), adj)
+    ]
 
 
 class _TransversalIndex:
@@ -86,7 +92,6 @@ class _TransversalIndex:
     def __init__(self, h: Hypergraph):
         self.h = h
         self.transversals = enumerate_min_transversals(h)
-        self.full = (1 << len(self.transversals)) - 1
         self.by_vertex = [0] * h.n
         for i, t in enumerate(self.transversals):
             for v in t:
@@ -96,18 +101,6 @@ class _TransversalIndex:
             vertex_mask(v for v, bv in enumerate(self.by_vertex) if not bu & bv)
             for bu in self.by_vertex
         ]
-
-    def hitting(self, vertices: Iterable[int]) -> int:
-        m = 0
-        for v in vertices:
-            m |= self.by_vertex[v]
-        return m
-
-    def containing_all(self, vertices: Iterable[int]) -> int:
-        m = self.full
-        for v in vertices:
-            m &= self.by_vertex[v]
-        return m
 
 
 def _check_i_j(idx: _TransversalIndex, size: int, exception: Optional[set[int]]):
@@ -168,12 +161,8 @@ def obs61_suite(kind: str) -> PropertyReport:
 
     # (h): named members admit a minimum transversal through any vertex pair
     if kind in ("H10", "H14_6"):
-        bad = [
-            (u, v)
-            for u, v in combinations(range(h.n), 2)
-            if not idx.containing_all((u, v))
-        ]
-        checks.append(CheckResult("h", True, not bad, str(bad[:3]) or None))
+        bad_h = _check_property_h(h, idx)
+        checks.append(CheckResult("h", True, not bad_h, str(bad_h[:3]) or None))
     else:
         checks.append(_na("h"))
 
@@ -205,42 +194,13 @@ def obs61_suite(kind: str) -> PropertyReport:
     # three: members have degree <= 2 in H, and each set is independent as
     # its statement requires.  (The unrestricted quantifications are false
     # on the catalog and could never occur in a host.)
-    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
 
-    # (l): independent T1 of size 3, singleton T2
-    bad_l = []
-    for t1 in _independent_triples(lowdeg, adj):
-        m1 = idx.hitting(t1)
-        for v in lowdeg:
-            if v in t1:
-                continue
-            if not m1 & idx.by_vertex[v]:
-                bad_l.append((t1, v))
+    # (l): independent T1 of size 3, singleton T2; see _check_property_l
+    bad_l = _check_property_l(h, idx, deg, adj)
     checks.append(CheckResult("l", True, not bad_l, str(bad_l[:3]) or None))
 
-    # (m): singleton T1, non-adjacent pair T2; H_11 excepts the orientation
-    # splitting its degree-1 vertices across T1 and T2 with T2's second
-    # vertex adjacent to T1's; failing orientations are reported
-    deg1 = [v for v in range(h.n) if deg[v] == 1]
-    bad_m = []
-    excepted = []
-    for v1 in lowdeg:
-        m1 = idx.by_vertex[v1]
-        for t2 in combinations([u for u in lowdeg if u != v1], 2):
-            if adj[t2[0]] >> t2[1] & 1:
-                continue
-            if m1 & idx.hitting(t2):
-                continue
-            is_exception = False
-            if kind == "H11" and v1 in deg1:
-                others = [u for u in t2 if u in deg1]
-                seconds = [u for u in t2 if u not in deg1]
-                if others and seconds and adj[v1] >> seconds[0] & 1:
-                    is_exception = True
-            if is_exception:
-                excepted.append((v1, t2))
-            else:
-                bad_m.append((v1, t2))
+    # (m): singleton T1, non-adjacent pair T2; see _check_property_m
+    bad_m, excepted = _check_property_m(h, idx, deg, adj, kind)
     m_ok = not bad_m and (kind != "H11" or bool(excepted))
     checks.append(
         CheckResult(
@@ -285,6 +245,52 @@ def h11_exceptional_triple() -> list[int]:
     return [v for v in range(h.n) if v not in with_deg1_neighbor]
 
 
+def _check_property_h(h: Hypergraph, idx: _TransversalIndex) -> list:
+    """Item (h): the pairs u < v in no common minimum transversal: v in ``apart[u]``."""
+    return [(u, v) for u in range(h.n) for v in members(idx.apart[u] & ~((2 << u) - 1))]
+
+
+def _check_property_l(
+    h: Hypergraph, idx: _TransversalIndex, deg: list[int], adj: list[int]
+) -> list:
+    """Item (l): the (T1, v), T1 an independent triple and v a vertex outside
+    it, all of degree <= 2, with no minimum transversal hitting both: v lies
+    in ``apart`` of each vertex of T1.
+    """
+    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
+    low = vertex_mask(lowdeg)
+    bad = []
+    for t1 in _independent_triples(lowdeg, adj):
+        a, b, c = t1
+        w = low & idx.apart[a] & idx.apart[b] & idx.apart[c] & ~vertex_mask(t1)
+        bad += [(t1, v) for v in members(w)]
+    return bad
+
+
+def _check_property_m(
+    h: Hypergraph, idx: _TransversalIndex, deg: list[int], adj: list[int], kind: str
+) -> tuple[list, list]:
+    """Item (m): the failing and the excepted (v1, T2), T2 a non-adjacent
+    pair inside ``apart[v1]``, all of degree <= 2.  H_11 excepts the
+    orientation splitting its degree-1 vertices across T1 and T2 with T2's
+    second vertex adjacent to T1's.
+    """
+    low = vertex_mask(v for v in range(h.n) if deg[v] <= 2)
+    deg1 = [v for v in range(h.n) if deg[v] == 1]
+    bad = []
+    excepted = []
+    for v1 in members(low):
+        for t2 in _independent_pairs(idx.apart[v1] & low & ~(1 << v1), adj):
+            is_exception = False
+            if kind == "H11" and v1 in deg1:
+                others = [u for u in t2 if u in deg1]
+                seconds = [u for u in t2 if u not in deg1]
+                if others and seconds and adj[v1] >> seconds[0] & 1:
+                    is_exception = True
+            (excepted if is_exception else bad).append((v1, t2))
+    return bad, excepted
+
+
 def _check_property_k(h: Hypergraph, idx: _TransversalIndex) -> list:
     """Item (k): the ordered pairs (T1, T2) of disjoint vertex pairs such
     that no minimum transversal hits both, by T1 and then T2 in
@@ -317,8 +323,9 @@ def _check_property_n(
     lowdeg = [v for v in range(h.n) if deg[v] <= 2]
     triples = _independent_triples(lowdeg, adj)
     sets = [vertex_mask(t) for t in triples]
-    hits = [idx.hitting(t) for t in triples]
-    low_hits = [(1 << v, idx.by_vertex[v]) for v in lowdeg]
+    bv = idx.by_vertex
+    hits = [bv[a] | bv[b] | bv[c] for a, b, c in triples]
+    low_hits = [(1 << v, bv[v]) for v in lowdeg]
     bad = []
     for i1, t1 in enumerate(triples):
         s1, m1 = sets[i1], hits[i1]
@@ -351,20 +358,15 @@ def _check_property_o(
     Every minimum transversal covers every edge, so the item reduces to
     "some minimum transversal meets p1, p2 or p3", which item (g) already
     implies: a triple fails iff none of its pairs meets a minimum
-    transversal, and then it misses edge 0, the lowest edge.  An edgeless
-    H passes.  Pairs are indexed in lexicographic order, and the triple
-    reported is the first failing one in the order of pair indices.
+    transversal, that is, lies inside item (g)'s set, and then it misses
+    edge 0, the lowest edge.  An edgeless H passes.  Pairs are indexed in
+    lexicographic order, and the triple reported is the first failing one
+    in the order of pair indices.
     """
     if not h.m:
         return True, None
-    unhit = [
-        (a, b)
-        for a, b in combinations(range(h.n), 2)
-        if not adj[a] >> b & 1
-        and deg[a] <= 2
-        and deg[b] <= 2
-        and not idx.hitting((a, b))
-    ]
+    missing = vertex_mask(v for v in range(h.n) if deg[v] <= 2 and not idx.by_vertex[v])
+    unhit = _independent_pairs(missing, adj)  # the valid pairs inside item (g)'s set
     for p1, p2, p3 in combinations(unhit, 3):
         shared = (set(p1) & set(p2)) | (set(p1) & set(p3)) | (set(p2) & set(p3))
         if all(deg[v] <= 1 for v in shared):
@@ -433,59 +435,52 @@ class BoundResult:
     slack: Fraction
 
 
-def bound_check(subject, bound_id: str) -> BoundResult:
-    """Exact comparison of tau against a named bound, hypotheses first."""
+def bound_value(subject, bound_id: str) -> Fraction:
+    """The named bound for ``subject``, once its hypotheses hold."""
     if bound_id == "TD37":
-        return _bound_td37(subject)
+        _require(isinstance(subject, Graph), "TD37 takes a graph")
+        _require(min(subject.degrees(), default=0) >= 4, "TD37 needs minimum degree >= 4")
+        return Fraction(3 * subject.n, 7)
     h: Hypergraph = subject
     n, m = h.n, h.m
     if bound_id == "MAIN5":
         _require(is_k_uniform(h, 4), "MAIN5 needs a 4-uniform hypergraph")
         _require(is_linear(h), "MAIN5 needs a linear hypergraph")
-        bound = Fraction(n + m, 5)
-    elif bound_id == "K23":
+        return Fraction(n + m, 5)
+    if bound_id == "K23":
         k = len(h.edges[0]) if h.edges else 0
         _require(k in (2, 3), "K23 needs uniformity 2 or 3")
         _require(is_k_uniform(h, k), "K23 needs a uniform hypergraph")
         _require(is_linear(h), "K23 needs a linear hypergraph")
         _require(is_connected(h), "K23 needs a connected hypergraph")
-        bound = Fraction(n + m, k + 1)
-    elif bound_id == "Q46":
+        return Fraction(n + m, k + 1)
+    if bound_id == "Q46":
         _require(is_k_uniform(h, 4), "Q46 needs a 4-uniform hypergraph")
         _require(is_linear(h), "Q46 needs a linear hypergraph")
-        bound = Fraction(n, 4) + Fraction(m, 6)
-    elif bound_id == "R3REG":
+        return Fraction(n, 4) + Fraction(m, 6)
+    if bound_id == "R3REG":
         _require(is_k_uniform(h, 4), "R3REG needs a 4-uniform hypergraph")
         _require(is_linear(h), "R3REG needs a linear hypergraph")
-        _require(
-            all(d == 3 for d in h.degrees()), "R3REG needs a 3-regular hypergraph"
-        )
-        bound = Fraction(7 * n, 20)
-    elif bound_id == "DEG2":
+        _require(all(d == 3 for d in h.degrees()), "R3REG needs a 3-regular hypergraph")
+        return Fraction(7 * n, 20)
+    if bound_id == "DEG2":
         _require(is_k_uniform(h, 4), "DEG2 needs a 4-uniform hypergraph")
         _require(is_linear(h), "DEG2 needs a linear hypergraph")
         _require(is_connected(h), "DEG2 needs a connected hypergraph")
         _require(h.max_degree() <= 2, "DEG2 needs maximum degree <= 2")
-        _require(
-            not hypergraph_isomorphic(h, special("H10")),
-            "DEG2 excludes H_10",
-        )
-        bound = Fraction(3 * (n + m), 16) + Fraction(1, 16)
-    elif bound_id == "LAICHANG":
+        _require(not hypergraph_isomorphic(h, special("H10")), "DEG2 excludes H_10")
+        return Fraction(3 * (n + m), 16) + Fraction(1, 16)
+    if bound_id == "LAICHANG":
         _require(is_k_uniform(h, 4), "LAICHANG needs a 4-uniform hypergraph")
-        bound = Fraction(2 * (n + m), 9)
-    else:
-        raise ArgumentError(f"unknown bound id {bound_id!r}")
-    t = tau(h).tau
+        return Fraction(2 * (n + m), 9)
+    raise ArgumentError(f"unknown bound id {bound_id!r}")
+
+
+def bound_check(subject, bound_id: str) -> BoundResult:
+    """Exact comparison of tau (gamma_t for TD37) against a named bound."""
+    bound = bound_value(subject, bound_id)
+    t = gamma_t(subject) if bound_id == "TD37" else tau(subject).tau
     return BoundResult(bound_id, t <= bound, t, bound, bound - t)
-
-
-def _bound_td37(g: Graph) -> BoundResult:
-    _require(isinstance(g, Graph), "TD37 takes a graph")
-    _require(min(g.degrees(), default=0) >= 4, "TD37 needs minimum degree >= 4")
-    gt = gamma_t(g)
-    bound = Fraction(3 * g.n, 7)
-    return BoundResult("TD37", gt <= bound, gt, bound, bound - gt)
 
 
 class HypothesisViolation(HypergraphError):

@@ -433,7 +433,7 @@ def test_verify_mainyy_order_below_two_is_usage_error(q, table, capsys):
 
 @pytest.mark.parametrize("table", [(), ("--table",)])
 def test_verify_mainyy_honours_solve_guard(table, capsys, monkeypatch):
-    # the order-3 residuals have n = 6..8, so a guard of 5 refuses s = 1 first
+    # the order-3 residuals have n = 6..8, so a guard of 5 refuses the largest
     monkeypatch.setenv("LINHYP_GUARD_SOLVE_N", "5")
     code, out, err = run(capsys, "verify", "mainyy", "--q", "3", *table)
     assert (code, out) == (EXIT_GUARD, "")
@@ -449,6 +449,39 @@ def test_verify_bounds_honours_solve_guard(tmp_path, capsys, monkeypatch):
     )
     assert (code, out) == (EXIT_GUARD, "")
     assert err.startswith("guard exceeded: n=10 ")
+
+
+def test_verify_mainyy_guards_before_building_a_plane(capsys, monkeypatch):
+    # AG(2,8)'s first residual has n = 63 > 60, known from --q alone
+    def refuse(q):
+        raise AssertionError(f"AG(2,{q}) built before the guard")
+
+    monkeypatch.setattr(cli.algebra, "affine_plane", refuse)
+    code, out, err = run(capsys, "verify", "mainyy", "--q", "8")
+    assert (code, out) == (EXIT_GUARD, "")
+    assert err.startswith("guard exceeded: n=63 ")
+
+
+@pytest.mark.parametrize("q", ["6", "1000"])
+def test_verify_mainyy_non_prime_power_is_usage_error(q, capsys):
+    # 1000 is above the guard as well: the usage error comes first
+    code, out, err = run(capsys, "verify", "mainyy", "--q", q)
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == f"error: {q} is not a prime power\n"
+
+
+def test_verify_bounds_guard_spares_skipped_hosts(tmp_path, capsys, monkeypatch):
+    # TD37 skips a hypergraph on its hypotheses, so the guard never sees it
+    run(capsys, "gen", "--family", "special", "--name", "H10",
+        "--out", str(tmp_path / "H10.hg"))
+    monkeypatch.setenv("LINHYP_GUARD_SOLVE_N", "5")
+    code, out, err = run(
+        capsys, "verify", "bounds", "--bound", "TD37", "--corpus", str(tmp_path)
+    )
+    assert (code, err) == (EXIT_OK, "")
+    payload = json.loads(out)
+    assert payload["results"] == [{"name": "H10.hg", "skipped": "TD37 takes a graph"}]
+    assert payload["all_passed"]
 
 
 # A JSON command's argv ({host} is an H10 file, {dir} the folder holding it),

@@ -1,14 +1,13 @@
 """Differential tests of the bitset catalog property suite.
 
 The functions prefixed ``oracle_`` are frozen copies of the original suite:
-the full ``combinations`` scan for the minimum transversals, items (i), (j),
-(k) and (n) as nested loops over vertex tuples, item (o) with a
-``compatible`` test per pair, independence through a set of co-edged pairs,
-and the whole ``obs61_suite`` body built on them.  The bitset suite must
-give equal reports on the catalog and equal ``linhyp verify catalog`` JSON.
-Catalog entries pass every item, so the helpers for (i), (j), (k), (n) and
-(o) are also compared on hosts where those items fail, bad lists and
-witnesses included.
+the full ``combinations`` scan for the minimum transversals, items (h) to
+(n) as nested loops over vertex tuples, item (o) with a ``compatible`` test
+per pair, independence through a set of co-edged pairs, and the whole
+``obs61_suite`` body built on them.  The bitset suite must give equal
+reports on the catalog and equal ``linhyp verify catalog`` JSON.  Catalog
+entries pass every item, so the helpers for (h) to (o) are also compared on
+hosts where those items fail, bad lists and witnesses included.
 """
 
 from __future__ import annotations
@@ -34,7 +33,10 @@ from linhyp.verify import (
     PropertyReport,
     _adjacency_masks,
     _check_i_j,
+    _check_property_h,
     _check_property_k,
+    _check_property_l,
+    _check_property_m,
     _check_property_n,
     _check_property_o,
     _check_property_p,
@@ -111,6 +113,60 @@ def oracle_check_i_j(idx, size: int, exception: Optional[set[int]]):
     if exception is None:
         return (not bad), bad
     return (bad == [exception]), bad
+
+
+def oracle_h(h: Hypergraph, idx) -> list:
+    return [
+        (u, v)
+        for u, v in combinations(range(h.n), 2)
+        if not idx.containing_all((u, v))
+    ]
+
+
+def oracle_l(h: Hypergraph, idx, deg: list[int]) -> list:
+    adjacent = oracle_adjacent_pairs(h)
+    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
+
+    def independent(c) -> bool:
+        return not any(frozenset(p) in adjacent for p in combinations(c, 2))
+
+    bad_l = []
+    for t1 in combinations(lowdeg, 3):
+        if not independent(t1):
+            continue
+        m1 = idx.hitting(t1)
+        for v in lowdeg:
+            if v in t1:
+                continue
+            if not m1 & idx.by_vertex[v]:
+                bad_l.append((t1, v))
+    return bad_l
+
+
+def oracle_m(h: Hypergraph, idx, deg: list[int], kind: str) -> tuple[list, list]:
+    adjacent = oracle_adjacent_pairs(h)
+    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
+    deg1 = [v for v in range(h.n) if deg[v] == 1]
+    bad_m = []
+    excepted = []
+    for v1 in lowdeg:
+        m1 = idx.by_vertex[v1]
+        for t2 in combinations([u for u in lowdeg if u != v1], 2):
+            if frozenset(t2) in adjacent:
+                continue
+            if m1 & idx.hitting(t2):
+                continue
+            is_exception = False
+            if kind == "H11" and v1 in deg1:
+                others = [u for u in t2 if u in deg1]
+                seconds = [u for u in t2 if u not in deg1]
+                if others and seconds and frozenset((v1, seconds[0])) in adjacent:
+                    is_exception = True
+            if is_exception:
+                excepted.append((v1, t2))
+            else:
+                bad_m.append((v1, t2))
+    return bad_m, excepted
 
 
 def oracle_k(h: Hypergraph, idx) -> list:
@@ -194,7 +250,6 @@ def oracle_obs61_suite(kind: str) -> PropertyReport:
     deg = h.degrees()
     idx = OracleIndex(h)
     t_actual = len(idx.transversals[0]) if idx.transversals else 0
-    adjacent = oracle_adjacent_pairs(h)
     checks: list[CheckResult] = []
 
     label = {4: "a", 10: "b", 11: "c", 14: "d", 21: "e"}[order_class(kind)]
@@ -217,11 +272,7 @@ def oracle_obs61_suite(kind: str) -> PropertyReport:
     checks.append(CheckResult("g", True, not missing, str(missing) or None))
 
     if kind in ("H10", "H14_6"):
-        bad = [
-            (u, v)
-            for u, v in combinations(range(h.n), 2)
-            if not idx.containing_all((u, v))
-        ]
+        bad = oracle_h(h, idx)
         checks.append(CheckResult("h", True, not bad, str(bad[:3]) or None))
     else:
         checks.append(_na("h"))
@@ -245,43 +296,10 @@ def oracle_obs61_suite(kind: str) -> PropertyReport:
     else:
         checks.append(_na("k"))
 
-    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
-
-    def independent(c) -> bool:
-        return not any(frozenset(p) in adjacent for p in combinations(c, 2))
-
-    bad_l = []
-    for t1 in combinations(lowdeg, 3):
-        if not independent(t1):
-            continue
-        m1 = idx.hitting(t1)
-        for v in lowdeg:
-            if v in t1:
-                continue
-            if not m1 & idx.by_vertex[v]:
-                bad_l.append((t1, v))
+    bad_l = oracle_l(h, idx, deg)
     checks.append(CheckResult("l", True, not bad_l, str(bad_l[:3]) or None))
 
-    deg1 = [v for v in range(h.n) if deg[v] == 1]
-    bad_m = []
-    excepted = []
-    for v1 in lowdeg:
-        m1 = idx.by_vertex[v1]
-        for t2 in combinations([u for u in lowdeg if u != v1], 2):
-            if frozenset(t2) in adjacent:
-                continue
-            if m1 & idx.hitting(t2):
-                continue
-            is_exception = False
-            if kind == "H11" and v1 in deg1:
-                others = [u for u in t2 if u in deg1]
-                seconds = [u for u in t2 if u not in deg1]
-                if others and seconds and frozenset((v1, seconds[0])) in adjacent:
-                    is_exception = True
-            if is_exception:
-                excepted.append((v1, t2))
-            else:
-                bad_m.append((v1, t2))
+    bad_m, excepted = oracle_m(h, idx, deg, kind)
     m_ok = not bad_m and (kind != "H11" or bool(excepted))
     checks.append(
         CheckResult(
@@ -334,7 +352,7 @@ def test_verify_catalog_json_matches_frozen_oracle(monkeypatch):
     assert json.loads(got)["all_passed"]
 
 
-# -- items (i), (j), (k), (n) and (o) on hosts where they fail ---------------
+# -- items (h) to (o) on hosts where they fail ------------------------------
 
 
 def _minus_edge(kind: str, i: int) -> Hypergraph:
@@ -376,13 +394,15 @@ ITEM_HOSTS = _item_hosts()
 
 @lru_cache(maxsize=None)
 def _frozen_items(name: str):
-    """The frozen (i), (j), (k), (n) and (o) results on one host."""
+    """The frozen (h) to (o) results on one host, (m) with and without
+    H_11's exception."""
     h = dict(ITEM_HOSTS)[name]
     deg, idx = h.degrees(), OracleIndex(h)
     bad_i_j = [oracle_check_i_j(idx, size, None)[1] for size in (3, 4)]
     return (
-        idx.transversals, bad_i_j,
-        oracle_k(h, idx), oracle_n(h, idx, deg), oracle_o(h, idx, deg),
+        idx.transversals, oracle_h(h, idx), bad_i_j, oracle_k(h, idx),
+        oracle_l(h, idx, deg), [oracle_m(h, idx, deg, kind) for kind in ("H10", "H11")],
+        oracle_n(h, idx, deg), oracle_o(h, idx, deg),
     )
 
 
@@ -390,26 +410,39 @@ def _frozen_items(name: str):
 def test_item_helpers_match_frozen_loops(name):
     h = dict(ITEM_HOSTS)[name]
     deg, idx, adj = h.degrees(), _TransversalIndex(h), _adjacency_masks(h)
-    transversals, bad_i_j, bad_k, bad_n, result_o = _frozen_items(name)
+    transversals, bad_h, bad_i_j, bad_k, bad_l, result_m, bad_n, result_o = (
+        _frozen_items(name)
+    )
     assert idx.transversals == transversals
+    assert _check_property_h(h, idx) == bad_h
     assert [_check_i_j(idx, size, None)[1] for size in (3, 4)] == bad_i_j
     assert _check_property_k(h, idx) == bad_k
+    assert _check_property_l(h, idx, deg, adj) == bad_l
+    assert [_check_property_m(h, idx, deg, adj, kind) for kind in ("H10", "H11")] == result_m
     assert _check_property_n(h, idx, deg, adj) == bad_n
     assert _check_property_o(h, idx, deg, adj) == result_o
 
 
 def test_item_hosts_reach_failures():
-    # the comparisons above must see every item fail, or a rewrite that
-    # always passes would go unnoticed
-    failing = {"i": 0, "j": 0, "k": 0, "n": 0, "o": 0}
+    # the comparisons above must see every item fail, and H_11's (m)
+    # exception apply, or a rewrite that always passes would go unnoticed
+    failing = dict.fromkeys("hijklmno", 0)
+    excepting = 0
     for name, _ in ITEM_HOSTS:
-        _, (bad_i, bad_j), bad_k, bad_n, (ok_o, _) = _frozen_items(name)
+        _, bad_h, (bad_i, bad_j), bad_k, bad_l, result_m, bad_n, (ok_o, _) = (
+            _frozen_items(name)
+        )
+        failing["h"] += bool(bad_h)
         failing["i"] += bool(bad_i)
         failing["j"] += bool(bad_j)
         failing["k"] += bool(bad_k)
+        failing["l"] += bool(bad_l)
+        failing["m"] += bool(result_m[0][0])
         failing["n"] += bool(bad_n)
         failing["o"] += not ok_o
+        excepting += bool(result_m[1][1])
     assert min(failing.values()) >= 3, failing
+    assert excepting >= 3
 
 
 def test_item_o_fails_only_where_item_g_fails():
