@@ -17,6 +17,7 @@ from functools import lru_cache
 from typing import Optional
 
 from .core import (
+    ArgumentError,
     Graph,
     Hypergraph,
     complement_hypergraph,
@@ -31,21 +32,69 @@ class AlgebraError(ValueError):
     """Bad parameter for a field or family constructor."""
 
 
+# Miller-Rabin on the first 13 primes as bases is exact below the least
+# strong pseudoprime to all of them (Sorenson and Webster, "Strong
+# pseudoprimes to twelve prime bases", Math. Comp. 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
+def _strong_probable_prime(p: int) -> bool:
+    """Miller-Rabin on ``_MR_BASES`` for an odd p above 41."""
+    d, s = p - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _iroot(q: int, e: int) -> int:
+    """The integer e-th root of q >= 1, rounded down (Newton's method)."""
+    x = 1 << -(-q.bit_length() // e)  # above the root
+    while True:
+        y = ((e - 1) * x + q // x ** (e - 1)) // e
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power(q: int) -> Optional[tuple[int, int]]:
-    """Return (p, e) with q = p^e and p prime, or None."""
+    """Return (p, e) with q = p^e and p prime, or None.
+
+    A prime factor up to 41 is found by division.  Otherwise, if q = p^k,
+    q has an exact e-th root only for e dividing k, and the root p^(k/e)
+    is prime only for e = k; so q is a prime power iff the root at the
+    largest exact e is prime.  That root is tested by Miller-Rabin, which
+    is exact below ``_MR_LIMIT`` (about 3.3e24); a root at or above it
+    raises ``ArgumentError``.
+    """
     if q < 2:
         return None
-    for p in range(2, q + 1):
-        if p * p > q:
+    for p in _MR_BASES:
+        if q % p == 0:
+            e, rest = 0, q
+            while rest % p == 0:
+                rest //= p
+                e += 1
+            return (p, e) if rest == 1 else None
+    # every prime factor is at least 43, so e <= log_43 q
+    for e in range(q.bit_length() // 5, 0, -1):
+        p = _iroot(q, e)
+        if p ** e == q:
             break
-        if q % p:
-            continue
-        e, rest = 0, q
-        while rest % p == 0:
-            rest //= p
-            e += 1
-        return (p, e) if rest == 1 else None
-    return (q, 1)  # q itself prime
+    if p >= _MR_LIMIT:
+        raise ArgumentError(f"cannot decide whether {p} is prime: it is not below {_MR_LIMIT}")
+    return (p, e) if _strong_probable_prime(p) else None
 
 
 def _poly_mul_mod(a: tuple, b: tuple, modulus: tuple, p: int) -> tuple:

@@ -313,34 +313,70 @@ def _check_property_n(
 ) -> list:
     """Item (n): the pairwise disjoint independent T1, T2 of size 3 and T3
     of size 2, all of degree-<=2 vertices, that no minimum transversal hits
-    all of.  Size 2 binds for T3, since any larger independent T3 contains
-    an independent pair and hitting the pair hits T3.
+    all of, by T1, T2 and then T3 in lexicographic order.  Size 2 binds for
+    T3, since any larger independent T3 contains an independent pair and
+    hitting the pair hits T3.
 
-    T3 = {a, b} misses every transversal that hits T1 and T2 iff a and b
-    both do, so with W the low-degree vertices outside T1 and T2 in no such
-    transversal, the bad T3 are the independent pairs within W.
+    Let U(T1, T3) be the union of the minimum transversals that hit both
+    T1 and T3.  A transversal that hits all three lies in U and meets T2
+    there, and a vertex of T2 in U lies in a transversal that hits all
+    three, so (T1, T2, T3) fails iff T2 misses U(T1, T3).  With R[u][w] the
+    vertex mask of the minimum transversals holding both u and w,
+    U(T1, {x, y}) is the OR of R[u][x] and R[u][y] over u in T1.  So for
+    each T1 and each low-degree x outside it, F(x) is the set of low-degree
+    vertices above min T1 (where a later T2 starts), outside T1 and x, and
+    outside the union over T1 and x; the bad T2 for T3 = {x, y} are the
+    independent triples inside F(x) & F(y).  An x with fewer than three
+    vertices in F(x) rules out every T3 through it.  Each later T2 collects
+    its bad T3 as the pairs (x, y) come, in lexicographic order, so the
+    list comes out in the order above.
     """
     lowdeg = [v for v in range(h.n) if deg[v] <= 2]
     triples = _independent_triples(lowdeg, adj)
-    sets = [vertex_mask(t) for t in triples]
+    if not triples:
+        return []
+    low = vertex_mask(lowdeg)
     bv = idx.by_vertex
-    hits = [bv[a] | bv[b] | bv[c] for a, b, c in triples]
-    low_hits = [(1 << v, bv[v]) for v in lowdeg]
+    # union[u][w]: R[u][w] for u != w of low degree, on the low-degree vertices
+    union = [[0] * h.n for _ in range(h.n)]
+    for i, u in enumerate(lowdeg):
+        # (bit z, the transversals holding both u and z) for each low z sharing one with u
+        shared = [(1 << z, bv[u] & bv[z]) for z in lowdeg if bv[u] & bv[z]]
+        for w in lowdeg[i + 1 :]:
+            r = 0
+            for bit, common in shared:
+                if common & bv[w]:
+                    r |= bit
+            union[u][w] = union[w][u] = r
+    sets = [vertex_mask(t) for t in triples]
     bad = []
-    for i1, t1 in enumerate(triples):
-        s1, m1 = sets[i1], hits[i1]
-        for i2 in range(i1 + 1, len(triples)):
-            if s1 & sets[i2]:
+    for t1, s1 in zip(triples, sets):
+        a, b, c = t1
+        avail = low & ~s1 & ~((2 << a) - 1)
+        ra, rb, rc = union[a], union[b], union[c]
+        free = []  # (x, F(x)) for the x with three or more vertices in F(x)
+        for x in lowdeg:
+            if s1 >> x & 1:
                 continue
-            m12 = m1 & hits[i2]
-            w = 0
-            for bit, bv in low_hits:
-                if not bv & m12:
-                    w |= bit
-            w &= ~(s1 | sets[i2])
-            for a in members(w):
-                for b in members(w & ~adj[a] & ~((2 << a) - 1)):
-                    bad.append((t1, triples[i2], (a, b)))
+            f = avail & ~(ra[x] | rb[x] | rc[x] | 1 << x)
+            g = f & (f - 1)
+            if g & (g - 1):
+                free.append((x, f))
+        # the triples inside avail, all after T1, each with its bad T3 in order
+        later = None
+        for j, (x, fx) in enumerate(free):
+            for y, fy in free[j + 1 :]:
+                f = fx & fy
+                g = f & (f - 1)
+                if adj[x] >> y & 1 or not g & (g - 1):
+                    continue
+                if later is None:
+                    later = [(t2, s2, []) for t2, s2 in zip(triples, sets) if not s2 & ~avail]
+                for _, s2, t3s in later:
+                    if not s2 & ~f:
+                        t3s.append((x, y))
+        for t2, _, t3s in later or ():
+            bad += [(t1, t2, t3) for t3 in t3s]
     return bad
 
 

@@ -1,6 +1,7 @@
 """Finite fields and family generators."""
 
 import itertools
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +12,8 @@ from linhyp.algebra import (
     affine_residual,
     family_f,
     g30,
+    _MR_LIMIT,
+    _strong_probable_prime,
     gf,
     heawood,
     l_k,
@@ -20,6 +23,7 @@ from linhyp.algebra import (
 )
 from linhyp.catalog import special
 from linhyp.core import (
+    ArgumentError,
     hypergraph_isomorphic,
     is_connected,
     is_k_uniform,
@@ -27,6 +31,23 @@ from linhyp.core import (
 )
 
 from oracles import girth
+
+
+def oracle_prime_power(q: int):
+    """The trial division up to the square root that ``prime_power`` replaced."""
+    if q < 2:
+        return None
+    for p in range(2, q + 1):
+        if p * p > q:
+            break
+        if q % p:
+            continue
+        e, rest = 0, q
+        while rest % p == 0:
+            rest //= p
+            e += 1
+        return (p, e) if rest == 1 else None
+    return (q, 1)  # q itself prime
 
 
 class TestField:
@@ -50,6 +71,30 @@ class TestField:
         assert prime_power(27) == (3, 3)
         assert prime_power(12) is None
         assert prime_power(13) == (13, 1)
+        assert prime_power(43**30) == (43, 30)
+        assert prime_power(43**5 * 47) is None
+        assert prime_power((43 * 47) ** 5) is None
+        assert prime_power(2**200) == (2, 200)
+
+    def test_prime_power_matches_trial_division(self):
+        assert all(prime_power(q) == oracle_prime_power(q) for q in range(-2, 10**5))
+
+    def test_prime_power_of_large_primes(self):
+        start = time.perf_counter()
+        assert prime_power(10**14 + 31) == (10**14 + 31, 1)
+        assert prime_power(10**18 + 3) == (10**18 + 3, 1)
+        assert prime_power((10**13 + 37) ** 2) == (10**13 + 37, 2)
+        # trial division up to the root takes ~10**7 steps on the first, ~10**9 on the second
+        assert time.perf_counter() - start < 0.5
+
+    def test_miller_rabin_limit(self):
+        # the limit is the least composite that passes all thirteen bases
+        assert _MR_LIMIT == 1287836182261 * 2575672364521
+        assert _strong_probable_prime(_MR_LIMIT)
+        with pytest.raises(ArgumentError):
+            prime_power(_MR_LIMIT)
+        with pytest.raises(ArgumentError):
+            prime_power(2**89 - 1)  # a prime, beyond the exact range
 
     @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27])
     def test_multiplicative_group_cyclic(self, q):

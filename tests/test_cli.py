@@ -470,6 +470,20 @@ def test_verify_mainyy_non_prime_power_is_usage_error(q, capsys):
     assert err == f"error: {q} is not a prime power\n"
 
 
+def test_verify_mainyy_undecidable_q_is_usage_error(capsys):
+    # 2**89 - 1 is prime but beyond the range where Miller-Rabin is exact
+    code, out, err = run(capsys, "verify", "mainyy", "--q", str(2**89 - 1))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith(f"error: cannot decide whether {2**89 - 1} is prime")
+
+
+def test_verify_mainyy_guards_a_large_prime(capsys):
+    # the prime-power test is fast, so the solve guard refuses the order
+    code, out, err = run(capsys, "verify", "mainyy", "--q", str(10**18 + 3))
+    assert (code, out) == (EXIT_GUARD, "")
+    assert err.startswith(f"guard exceeded: n={(10**18 + 3) ** 2 - 1} ")
+
+
 def test_verify_bounds_guard_spares_skipped_hosts(tmp_path, capsys, monkeypatch):
     # TD37 skips a hypergraph on its hypotheses, so the guard never sees it
     run(capsys, "gen", "--family", "special", "--name", "H10",

@@ -3,11 +3,12 @@
 The functions prefixed ``oracle_`` are frozen copies of the original suite:
 the full ``combinations`` scan for the minimum transversals, items (h) to
 (n) as nested loops over vertex tuples, item (o) with a ``compatible`` test
-per pair, independence through a set of co-edged pairs, and the whole
-``obs61_suite`` body built on them.  The bitset suite must give equal
-reports on the catalog and equal ``linhyp verify catalog`` JSON.  Catalog
-entries pass every item, so the helpers for (h) to (o) are also compared on
-hosts where those items fail, bad lists and witnesses included.
+per pair, item (p) as it stood when it was frozen, independence through a
+set of co-edged pairs, and the whole ``obs61_suite`` body built on them.
+The bitset suite must give equal reports on the catalog and equal
+``linhyp verify catalog`` JSON.  Catalog entries pass every item, so the
+helpers for (h) to (p) are also compared on hosts where those items fail,
+bad lists and witnesses included.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import pytest
 from linhyp import cli
 from linhyp.algebra import affine_plane, affine_residual, random_linear
 from linhyp.catalog import NAMES, SHAPES, order_class, special
-from linhyp.core import Hypergraph
+from linhyp.core import Hypergraph, components
 from linhyp.rng import SplitMix64
 from linhyp.solver import GuardExceeded, enumerate_min_transversals, tau
 from linhyp.verify import (
@@ -243,6 +244,37 @@ def oracle_o(h: Hypergraph, idx, deg: list[int]):
     return True, None
 
 
+def oracle_p(h, deg, check_double_h4: bool = True):
+    for v in range(h.n):
+        if deg[v] != 2:
+            continue
+        sub = Hypergraph(h.n, [e for e in h.edges if v not in e])
+        comps = [c for c in components(sub) if c != {v}]
+        if len(comps) == 2:
+            if min(len(c) for c in comps) != 1:
+                return False, f"H - {v} has two non-trivial components"
+        elif len(comps) > 2:
+            return False, f"H - {v} has {len(comps)} components"
+        if not check_double_h4:
+            continue
+        sdeg = sub.degrees()
+        for e1, e2 in combinations(range(sub.m), 2):
+            a, b = set(sub.edges[e1]), set(sub.edges[e2])
+            if a & b:
+                continue
+            if not all(
+                sorted(sdeg[u] for u in grp) == [1, 1, 1, 2] for grp in (a, b)
+            ):
+                continue
+            for g in range(sub.m):
+                if g in (e1, e2):
+                    continue
+                gs = set(sub.edges[g])
+                if gs & a and gs & b:
+                    return False, f"double-H4 at deleted vertex {v}"
+    return True, None
+
+
 @lru_cache(maxsize=None)
 def oracle_obs61_suite(kind: str) -> PropertyReport:
     h = special(kind)
@@ -317,9 +349,7 @@ def oracle_obs61_suite(kind: str) -> PropertyReport:
     checks.append(CheckResult("o", True, ok_o, witness_o))
 
     if kind == "H11" or order_class(kind) in (14, 21):
-        ok_p, witness_p = _check_property_p(
-            h, deg, check_double_h4=(kind != "H11")
-        )
+        ok_p, witness_p = oracle_p(h, deg, check_double_h4=(kind != "H11"))
         checks.append(CheckResult("p", True, ok_p, witness_p))
     else:
         checks.append(_na("p"))
@@ -352,7 +382,7 @@ def test_verify_catalog_json_matches_frozen_oracle(monkeypatch):
     assert json.loads(got)["all_passed"]
 
 
-# -- items (h) to (o) on hosts where they fail ------------------------------
+# -- items (h) to (p) on hosts where they fail ------------------------------
 
 
 def _minus_edge(kind: str, i: int) -> Hypergraph:
@@ -386,6 +416,13 @@ def _item_hosts() -> list[tuple[str, Hypergraph]]:
     # every minimum transversal is {0, 3}, so it hits both (0, 1, 2) and
     # (3, 4, 5), and item (n) must still report (6, 7), which misses it
     hosts.append(("forced", Hypergraph(8, [[0], [3]])))
+    # item (p) at vertex 0: deleting it leaves {1, 2, 5, 6, 7} and {3, 4}
+    hosts.append(("split", Hypergraph(8, [[0, 1, 2], [0, 3], [3, 4], [1, 5, 6], [2, 6, 7]])))
+    # item (p) at vertex 0: deleting it leaves the double-H_4 pattern, the
+    # disjoint 4-edges 1-4 and 5-8 that the edge (4, 8, 9, 10) joins
+    hosts.append(("double-H4", Hypergraph(
+        11, [[0, 9], [0, 10], [1, 2, 3, 4], [5, 6, 7, 8], [4, 8, 9, 10]]
+    )))
     return hosts
 
 
@@ -394,8 +431,8 @@ ITEM_HOSTS = _item_hosts()
 
 @lru_cache(maxsize=None)
 def _frozen_items(name: str):
-    """The frozen (h) to (o) results on one host, (m) with and without
-    H_11's exception."""
+    """The frozen (h) to (p) results on one host, (m) with and without
+    H_11's exception, (p) with and without the double-H_4 clause."""
     h = dict(ITEM_HOSTS)[name]
     deg, idx = h.degrees(), OracleIndex(h)
     bad_i_j = [oracle_check_i_j(idx, size, None)[1] for size in (3, 4)]
@@ -403,6 +440,7 @@ def _frozen_items(name: str):
         idx.transversals, oracle_h(h, idx), bad_i_j, oracle_k(h, idx),
         oracle_l(h, idx, deg), [oracle_m(h, idx, deg, kind) for kind in ("H10", "H11")],
         oracle_n(h, idx, deg), oracle_o(h, idx, deg),
+        [oracle_p(h, deg, check) for check in (True, False)],
     )
 
 
@@ -410,7 +448,7 @@ def _frozen_items(name: str):
 def test_item_helpers_match_frozen_loops(name):
     h = dict(ITEM_HOSTS)[name]
     deg, idx, adj = h.degrees(), _TransversalIndex(h), _adjacency_masks(h)
-    transversals, bad_h, bad_i_j, bad_k, bad_l, result_m, bad_n, result_o = (
+    transversals, bad_h, bad_i_j, bad_k, bad_l, result_m, bad_n, result_o, result_p = (
         _frozen_items(name)
     )
     assert idx.transversals == transversals
@@ -421,17 +459,26 @@ def test_item_helpers_match_frozen_loops(name):
     assert [_check_property_m(h, idx, deg, adj, kind) for kind in ("H10", "H11")] == result_m
     assert _check_property_n(h, idx, deg, adj) == bad_n
     assert _check_property_o(h, idx, deg, adj) == result_o
+    assert [_check_property_p(h, deg, check) for check in (True, False)] == result_p
 
 
 def test_item_hosts_reach_failures():
-    # the comparisons above must see every item fail, and H_11's (m)
-    # exception apply, or a rewrite that always passes would go unnoticed
+    # the comparisons above must see every item fail, H_11's (m)
+    # exception apply, and each (p) report fire, or a rewrite that always
+    # passes would go unnoticed
     failing = dict.fromkeys("hijklmno", 0)
     excepting = 0
+    reports_p = dict.fromkeys(
+        [r"H - \d+ has two non-trivial components", r"H - \d+ has \d+ components",
+         r"double-H4 at deleted vertex \d+"], 0
+    )
     for name, _ in ITEM_HOSTS:
-        _, bad_h, (bad_i, bad_j), bad_k, bad_l, result_m, bad_n, (ok_o, _) = (
+        _, bad_h, (bad_i, bad_j), bad_k, bad_l, result_m, bad_n, (ok_o, _), result_p = (
             _frozen_items(name)
         )
+        for _, witness in result_p:
+            for report in reports_p:
+                reports_p[report] += re.fullmatch(report, witness or "") is not None
         failing["h"] += bool(bad_h)
         failing["i"] += bool(bad_i)
         failing["j"] += bool(bad_j)
@@ -443,6 +490,7 @@ def test_item_hosts_reach_failures():
         excepting += bool(result_m[1][1])
     assert min(failing.values()) >= 3, failing
     assert excepting >= 3
+    assert min(reports_p.values()) >= 2, reports_p
 
 
 def test_item_o_fails_only_where_item_g_fails():
@@ -467,12 +515,17 @@ def test_item_n_reports_pairs_every_minimum_transversal_hits():
     assert ((0, 1, 2), (3, 4, 5), (6, 7)) in bad
 
 
-@pytest.mark.parametrize("n", [0, 1, 5])
+@pytest.mark.parametrize("n", [0, 1, 5, 9])
 def test_item_o_on_edgeless_hosts_matches_frozen_loop(n):
     h = Hypergraph(n, [])
     deg, adj = h.degrees(), _adjacency_masks(h)
     expected = oracle_o(h, OracleIndex(h), deg)
     assert _check_property_o(h, _TransversalIndex(h), deg, adj) == expected == (True, None)
+    # the one minimum transversal is empty, so item (n) fails on every
+    # choice of T1, T2 and T3: 2520 of them at n = 9, in the frozen order
+    bad_n = _check_property_n(h, _TransversalIndex(h), deg, adj)
+    assert bad_n == oracle_n(h, OracleIndex(h), deg)
+    assert len(bad_n) == (2520 if n == 9 else 0)
 
 
 def test_adjacency_masks_match_pairs():
