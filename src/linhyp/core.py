@@ -500,6 +500,14 @@ class Automorphisms:
         out.left, out.colors, out.equitable = budget, colors, False
         return out
 
+    def discrete(self) -> bool:
+        """Refine the colouring to equitable, whatever the budget, and tell
+        whether each class then holds one vertex.  If so, the identity is
+        the only automorphism that preserves the colouring, or any colouring
+        that refines it, and every query for u != v answers None."""
+        self.colors, _, self.equitable = _refine(self.colors, self.h.edges, self._inc)
+        return len(set(self.colors)) == self.h.n
+
     def mapping(self, u: int, v: int) -> Optional[list[int]]:
         """A permutation of V(H) mapping the edge multiset onto itself, each
         colour class onto itself and ``u`` to ``v``, or None if there is none

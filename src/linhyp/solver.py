@@ -13,7 +13,15 @@ from itertools import combinations
 from math import lcm
 from typing import Callable, Optional
 
-from .core import Automorphisms, CertificateError, Graph, Hypergraph, onh, vertex_mask
+from .core import (
+    Automorphisms,
+    CertificateError,
+    Graph,
+    Hypergraph,
+    members,
+    onh,
+    vertex_mask,
+)
 
 
 # Measured cost ratios, not settings.  The unit is one search node per unit
@@ -76,7 +84,8 @@ def _greedy_cover(inc: list[int], uncovered: int) -> list[int]:
     # repeatedly take the vertex covering the most uncovered edges (tie: low id)
     cover = []
     while uncovered:
-        best_v = max(range(len(inc)), key=lambda v: (uncovered & inc[v]).bit_count())
+        degrees = [(uncovered & iv).bit_count() for iv in inc]
+        best_v = degrees.index(max(degrees))
         cover.append(best_v)
         uncovered &= ~inc[best_v]
     return cover
@@ -118,6 +127,30 @@ def _orbit_test(autos: Automorphisms, first: int) -> Callable[[int], bool]:
         return True
 
     return in_orbit
+
+
+def _components(masks: list[int]) -> list[int]:
+    """The vertex sets of the connected components that hold edges, as
+    bitmasks, in the order of their first edges.  A component grows from
+    the first edge left: each pass over the edges left merges every edge
+    that meets the union so far, until a pass merges none."""
+    parts = []
+    left = masks
+    while left:
+        union = left[0]
+        left = left[1:]
+        while True:
+            rest = []
+            for em in left:
+                if em & union:
+                    union |= em
+                else:
+                    rest.append(em)
+            if len(rest) == len(left):
+                break
+            left = rest
+        parts.append(union)
+    return parts
 
 
 def tau(h: Hypergraph) -> TransversalResult:
@@ -199,7 +232,27 @@ def tau(h: Hypergraph) -> TransversalResult:
     one colour class, under a budget of refinement rounds in proportion to
     child j's subtree (see ``_TEST_NODES`` and ``_ROUND_NODES``); a search
     that finds none skips nothing.  Each node may build one test per
-    searched child.
+    searched child.  When the first test is due, the all-one colouring is
+    refined to equitable once; if that leaves one vertex per class, the
+    identity is the only automorphism, every query would answer None, and
+    the search builds no test, with the same nodes and witness.
+
+    Components.  tau is additive over the connected components, and the
+    search of a disconnected host runs through the product of their
+    searches.  So once the whole host's root has run its bounds without
+    closing, one merge pass over the edge masks (``_components``) finds
+    the components that hold edges.  With two or more, each is searched in
+    turn on the host's masks, from its own edges, as tau of that component
+    alone, its vertices relabelled in increasing order, would search it:
+    from its own greedy cover (the host's greedy cover picks the same
+    vertices in it), with its own mean edge size and automorphisms.  The
+    host's fractional weights serve it unchanged: up to degree 16 both the
+    host's and the component's are exact, and above it they are equal.
+    tau is the sum, the witness the
+    union of the components' first optima, and ``nodes`` one for the whole
+    host's root plus the components' nodes; the union is re-checked on the
+    whole host.  A host whose root closes, or with one component holding
+    edges, keeps the single search and its witness.
     """
     masks = h.edge_masks()
     if not masks:
@@ -218,7 +271,12 @@ def tau(h: Hypergraph) -> TransversalResult:
     best_size = len(greedy)
     best_set = list(greedy)
     nodes = dominated = 0
+    # the edges searched (all of h, or one component's) and, once the first
+    # test is due, the hypergraph that the orbit tests run on: h, or that
+    # component with its vertices relabelled in increasing order by ``at``
+    scope, sub, at = everything, h, range(h.n)
     autos: Optional[Automorphisms] = None  # built when the first test is due
+    rigid = False
     edge_size = 0.0
 
     def build_test(
@@ -227,18 +285,38 @@ def tau(h: Hypergraph) -> TransversalResult:
         # spent: the nodes of first's subtree, plus one per child that the
         # dominance rule skipped there; divided by the mean edge size it is
         # in the unit of _TEST_NODES and _ROUND_NODES
-        nonlocal autos, edge_size
+        nonlocal autos, rigid, edge_size, sub, at
         if not edge_size:
-            edge_size = sum(map(len, h.edges)) / h.m
+            edge_size = sum(masks[i].bit_count() for i in members(scope)) / scope.bit_count()
         spent /= edge_size
         if spent < _TEST_NODES:
             return None
         if autos is None:
-            autos = Automorphisms(h)
-        colors = [0] * h.n
+            if scope != everything:
+                edges = [h.edges[i] for i in members(scope)]
+                labels = sorted({v for e in edges for v in e})
+                at = {v: i for i, v in enumerate(labels)}
+                sub = Hypergraph(len(labels), [[at[v] for v in e] for e in edges])
+            autos = Automorphisms(sub)
+            # the identity alone preserves a discrete colouring, so on a
+            # rigid host every query would answer None
+            rigid = autos.discrete()
+        if rigid:
+            return None
+        colors = [0] * sub.n
         for v in chosen:
-            colors[v] = 1
-        return _orbit_test(autos.restricted(colors, int(spent // _ROUND_NODES)), first)
+            colors[at[v]] = 1
+        test = _orbit_test(autos.restricted(colors, int(spent // _ROUND_NODES)), at[first])
+        return test if sub is h else lambda v: test(at[v])
+
+    def search_component(vertices: int) -> None:
+        # the search that tau of the component on these vertices would run
+        nonlocal best_size, best_set, scope, autos, rigid, edge_size
+        best_set = [v for v in greedy if vertices >> v & 1]
+        best_size = len(best_set)
+        scope = sum(bit for bit, em in edge_at.items() if em & vertices)
+        autos, rigid, edge_size = None, False, 0.0
+        dfs(scope, [], 0)
 
     def dfs(unc: int, chosen: list[int], forbidden: int) -> None:
         nonlocal best_size, best_set, nodes, dominated
@@ -293,6 +371,16 @@ def tau(h: Hypergraph) -> TransversalResult:
                     break
         if load > (room - 1) * lcm_all:
             return
+        if unc == everything:  # the root, and its bounds leave it open
+            parts = _components(masks)
+            if len(parts) > 1:
+                size, witness = 0, []
+                for vertices in parts:
+                    search_component(vertices)
+                    size += best_size
+                    witness += best_set
+                best_size, best_set = size, witness
+                return
         order = []
         while pick:
             low = pick & -pick

@@ -11,9 +11,10 @@ of its co-edged neighbours; items (h)-(m) read their failing sets off
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby, islice
 from typing import Optional, Sequence
 
 from .algebra import affine_residual
@@ -308,6 +309,16 @@ def _check_property_k(h: Hypergraph, idx: _TransversalIndex) -> list:
     return bad
 
 
+def _pair_shares_three(free: list[tuple[int, int]], adj: list[int]) -> bool:
+    """True iff two non-adjacent x < y of ``free``, a list of (x, F(x)),
+    have three or more vertices in F(x) & F(y)."""
+    for j, (x, fx) in enumerate(free):
+        for y, fy in free[j + 1 :]:
+            if (fx & fy).bit_count() > 2 and not adj[x] >> y & 1:
+                return True
+    return False
+
+
 def _check_property_n(
     h: Hypergraph, idx: _TransversalIndex, deg: list[int], adj: list[int]
 ) -> list:
@@ -321,62 +332,88 @@ def _check_property_n(
     T1 and T3.  A transversal that hits all three lies in U and meets T2
     there, and a vertex of T2 in U lies in a transversal that hits all
     three, so (T1, T2, T3) fails iff T2 misses U(T1, T3).  With R[u][w] the
-    vertex mask of the minimum transversals holding both u and w,
-    U(T1, {x, y}) is the OR of R[u][x] and R[u][y] over u in T1.  So for
-    each T1 and each low-degree x outside it, F(x) is the set of low-degree
-    vertices above min T1 (where a later T2 starts), outside T1 and x, and
-    outside the union over T1 and x; the bad T2 for T3 = {x, y} are the
-    independent triples inside F(x) & F(y).  An x with fewer than three
-    vertices in F(x) rules out every T3 through it.  Each later T2 collects
-    its bad T3 as the pairs (x, y) come, in lexicographic order, so the
-    list comes out in the order above.
+    vertex mask of the minimum transversals holding both u and w, U(T1,
+    {x, y}) is the OR of R[u][x] and R[u][y] over u in T1.  R is symmetric
+    in its three vertices: t lies in R[u][x] iff some minimum transversal
+    holds u, x and t, iff x lies in R[u][t].  So T2 misses U(T1, T3) iff
+    T3 misses H(T1, T2), the OR of R[u][t] over u in T1 and t in T2, and
+    the bad T3 for (T1, T2) are the independent pairs of low-degree
+    vertices outside T1, T2 and H(T1, T2).  T1, T2 and those pairs are each
+    taken in lexicographic order, so the list comes out in the order above.
+
+    Most T1 have no bad T2, and cheap filters find them first.  A T2 comes
+    after T1 = (a, b, c) and misses it, so it starts above a, and T1 is
+    skipped when every triple that starts above a holds b.  For each low-degree x outside T1, F(x) is the
+    set of low-degree vertices above a, outside T1 and x, and outside the
+    union over T1 and x; a bad (T1, T2, {x, y}) puts T2 inside F(x) & F(y).
+    The triples of one prefix (a, b) share the part of F(x) that a and b
+    give, so F(x) is narrowed in two steps, and an x drops out at the first
+    step that leaves fewer than three vertices.  A T1 goes on to its T2
+    only if two non-adjacent x, y keep three or more vertices in
+    F(x) & F(y).
     """
     lowdeg = [v for v in range(h.n) if deg[v] <= 2]
     triples = _independent_triples(lowdeg, adj)
     if not triples:
         return []
-    low = vertex_mask(lowdeg)
     bv = idx.by_vertex
-    # union[u][w]: R[u][w] for u != w of low degree, on the low-degree vertices
+    # union[u][w]: R[u][w] for u != w of low degree, on the low-degree
+    # vertices other than u and w, filled from each triple u < w < z that
+    # shares a minimum transversal
     union = [[0] * h.n for _ in range(h.n)]
     for i, u in enumerate(lowdeg):
-        # (bit z, the transversals holding both u and z) for each low z sharing one with u
-        shared = [(1 << z, bv[u] & bv[z]) for z in lowdeg if bv[u] & bv[z]]
-        for w in lowdeg[i + 1 :]:
-            r = 0
-            for bit, common in shared:
-                if common & bv[w]:
-                    r |= bit
-            union[u][w] = union[w][u] = r
-    sets = [vertex_mask(t) for t in triples]
-    bad = []
-    for t1, s1 in zip(triples, sets):
-        a, b, c = t1
-        avail = low & ~s1 & ~((2 << a) - 1)
-        ra, rb, rc = union[a], union[b], union[c]
-        free = []  # (x, F(x)) for the x with three or more vertices in F(x)
-        for x in lowdeg:
-            if s1 >> x & 1:
+        ru = union[u]
+        for j in range(i + 1, len(lowdeg)):
+            w = lowdeg[j]
+            common = bv[u] & bv[w]
+            if not common:
                 continue
-            f = avail & ~(ra[x] | rb[x] | rc[x] | 1 << x)
-            g = f & (f - 1)
-            if g & (g - 1):
-                free.append((x, f))
-        # the triples inside avail, all after T1, each with its bad T3 in order
-        later = None
-        for j, (x, fx) in enumerate(free):
-            for y, fy in free[j + 1 :]:
-                f = fx & fy
-                g = f & (f - 1)
-                if adj[x] >> y & 1 or not g & (g - 1):
+            rw = union[w]
+            for z in lowdeg[j + 1 :]:
+                if common & bv[z]:
+                    ru[w] |= 1 << z
+                    ru[z] |= 1 << w
+                    rw[z] |= 1 << u
+    for i, u in enumerate(lowdeg):
+        for w in lowdeg[i + 1 :]:
+            union[w][u] = union[u][w]
+    low = vertex_mask(lowdeg)
+    sets = [vertex_mask(t) for t in triples]
+    firsts = [t[0] for t in triples]
+    bad = []
+    for (a, b), group in groupby(zip(triples, sets), key=lambda ts: ts[0][:2]):
+        start = bisect_right(firsts, a)  # the first triple that may be a T2
+        if all(s2 >> b & 1 for s2 in islice(sets, start, None)):
+            continue
+        ra, rb = union[a], union[b]
+        avail = low & ~((2 << a) - 1) & ~(1 << b)
+        # (x, F(x) but for c's part) for the x with three or more vertices in it
+        wide = []
+        for x in lowdeg:
+            f = avail & ~(ra[x] | rb[x] | 1 << x)
+            if f.bit_count() > 2 and x != a and x != b:
+                wide.append((x, f))
+        if len(wide) < 2:
+            continue
+        for t1, s1 in group:
+            c = t1[2]
+            rc = union[c]
+            free = []  # (x, F(x)) for the x with three or more vertices in F(x)
+            for x, f in wide:
+                f &= ~(rc[x] | 1 << c)
+                if f.bit_count() > 2 and x != c:
+                    free.append((x, f))
+            if not _pair_shares_three(free, adj):
+                continue
+            for t2, s2 in islice(zip(triples, sets), start, None):
+                if s2 & s1:
                     continue
-                if later is None:
-                    later = [(t2, s2, []) for t2, s2 in zip(triples, sets) if not s2 & ~avail]
-                for _, s2, t3s in later:
-                    if not s2 & ~f:
-                        t3s.append((x, y))
-        for t2, _, t3s in later or ():
-            bad += [(t1, t2, t3) for t3 in t3s]
+                hit = s1 | s2
+                for t in t2:
+                    hit |= ra[t] | rb[t] | rc[t]
+                rest = low & ~hit
+                if rest.bit_count() > 1:
+                    bad += [(t1, t2, t3) for t3 in _independent_pairs(rest, adj)]
     return bad
 
 

@@ -6,7 +6,9 @@ bounds by a greedy packing of whole edges and ``ceil(|unc| / Delta)``.  The
 bitset ``tau`` must return the same tau, witness and method on every host of
 the corpus below, and may only explore fewer nodes, since its bounds are at
 least as strong, the branching is unchanged, and a child skipped by the
-orbit rule holds nothing smaller than the incumbent.
+orbit rule holds nothing smaller than the incumbent.  A host with two or
+more components with edges is compared against ``oracle_by_components``:
+``tau`` searches each component on its own once the root's bounds fail.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from linhyp.core import (
     Automorphisms,
     Hypergraph,
     bipartite_complement,
+    components,
     is_linear,
     onh,
     shrink_remove,
@@ -137,6 +140,34 @@ def oracle_tau(h: Hypergraph) -> TransversalResult:
     return TransversalResult(best_size, tuple(sorted(best_set)), nodes, "branch_and_bound")
 
 
+def _parts(h: Hypergraph) -> list[set[int]]:
+    """The components of ``h`` that hold an edge."""
+    return [c for c in components(h) if any(c.issuperset(e) for e in h.edges)]
+
+
+def _by_parts(h: Hypergraph, solve) -> TransversalResult:
+    """``solve`` on each component with edges, its vertices relabelled in
+    increasing order: the sum of the tau, the union of the witnesses, and
+    one node for the whole host's root plus the sum of the nodes."""
+    size, witness, nodes = 0, [], 1
+    for part in _parts(h):
+        labels = sorted(part)
+        at = {v: i for i, v in enumerate(labels)}
+        sub = solve(Hypergraph(len(labels), [
+            [at[v] for v in e] for e in h.edges if e[0] in part
+        ]))
+        size += sub.tau
+        witness += [labels[v] for v in sub.witness]
+        nodes += sub.nodes_explored
+    return TransversalResult(size, tuple(sorted(witness)), nodes, "branch_and_bound")
+
+
+def oracle_by_components(h: Hypergraph) -> TransversalResult:
+    """``oracle_tau`` per component (``_by_parts``) on a host with two or
+    more components with edges, and of the whole host otherwise."""
+    return _by_parts(h, oracle_tau) if len(_parts(h)) > 1 else oracle_tau(h)
+
+
 def _symmetric() -> list[tuple[str, Hypergraph]]:
     """Hosts with large automorphism groups, where the orbit rule can fire;
     relabelled, so that the root's edge and children are not the
@@ -150,6 +181,17 @@ def _symmetric() -> list[tuple[str, Hypergraph]]:
         hosts.append((f"PG(2,{q})", projective_plane(q)))
     hosts.append(("onh(g30)-relabel", relabel(onh(g30()), 30)))
     hosts.append(("onh(heawood-bc)", onh(bipartite_complement(heawood()))))
+    # two relabelled hosts, one on the even and one on the odd vertices
+    # (AG(2,5)-1 leaves vertex 48 isolated): each component is large enough
+    # for its own search to test orbits
+    for name, a, b in (
+        ("AG(2,5)-pair", affine_plane(5), affine_plane(5)),
+        ("AG(2,5)+AG(2,5)-1", affine_residual(5, 1), affine_plane(5)),
+    ):
+        a, b = relabel(a, 51), relabel(b, 52)
+        hosts.append((name, Hypergraph(2 * b.n, [
+            *([2 * v for v in e] for e in a.edges), *([2 * v + 1 for v in e] for e in b.edges)
+        ])))
     return hosts
 
 
@@ -226,15 +268,64 @@ CORPUS = _corpus()
 
 @pytest.mark.parametrize("name,h", CORPUS, ids=[name for name, _ in CORPUS])
 def test_tau_matches_frozen_oracle(name, h):
-    got, want = tau(h), oracle_tau(h)
+    got, want = tau(h), oracle_by_components(h)
     assert (got.tau, got.witness, got.method) == (want.tau, want.witness, want.method)
     assert got.nodes_explored <= want.nodes_explored
 
 
 def test_corpus_reaches_pruned_searches():
     # the corpus must hold searches where the stronger bounds cut nodes
-    fewer = sum(tau(h).nodes_explored < oracle_tau(h).nodes_explored for _, h in CORPUS)
+    fewer = sum(
+        tau(h).nodes_explored < oracle_by_components(h).nodes_explored for _, h in CORPUS
+    )
     assert fewer >= 20
+
+
+def test_split_keeps_the_whole_host_witness_on_the_corpus(monkeypatch):
+    # the union of the per-component first optima is the whole search's
+    # first optimum on every disconnected corpus host, and the split takes
+    # onh(g30) from 1,528 nodes to 1 + 95 + 112
+    split = [(name, h) for name, h in CORPUS if len(_parts(h)) > 1]
+    assert len(split) == 19
+    got = [tau(h) for _, h in split]
+    with monkeypatch.context() as m:
+        m.setattr(linhyp.solver, "_components", lambda masks: [None])
+        whole = [tau(h) for _, h in split]
+    for (name, _), r, w in zip(split, got, whole):
+        assert (r.tau, r.witness) == (w.tau, w.witness), name
+        assert r.nodes_explored <= w.nodes_explored, name
+    g = onh(g30())
+    halves = [
+        tau(Hypergraph(15, [[v - 15 * i for v in e] for e in g.edges if e[0] // 15 == i]))
+        for i in (0, 1)
+    ]
+    assert sorted(components(g), key=min) == [set(range(15)), set(range(15, 30))]
+    assert [r.nodes_explored for r in halves] == [95, 112]
+    assert tau(g).nodes_explored == 1 + 95 + 112
+
+
+# A star with 20 leaves, a 7-cycle and a 5-cycle, as a 2-uniform
+# hypergraph: the root stays open (fractional load 1 + 7/2 + 5/2 = 7 is not
+# above 8 - 1), and the host's maximum degree is above the exact range of
+# the fractional weights while the cycles' is not.
+STAR_AND_CYCLES = Hypergraph(33, [(0, v) for v in range(1, 21)] + [
+    (21 + i, 21 + (i + 1) % 7) for i in range(7)
+] + [(28 + i, 28 + (i + 1) % 5) for i in range(5)])
+
+
+def test_split_searches_each_component_as_its_own_tau():
+    # each component takes the nodes and first optimum that tau of that
+    # component alone, relabelled in increasing order, does
+    hosts = [h for _, h in CORPUS if len(_parts(h)) > 1] + [STAR_AND_CYCLES]
+    assert max(STAR_AND_CYCLES.degrees()) > _EXACT_DEGREE
+    split = 0
+    for h in hosts:
+        got = tau(h)
+        if got.nodes_explored > 1:  # the root left open: the split ran
+            assert got == _by_parts(h, tau), h
+            split += 1
+    assert tau(STAR_AND_CYCLES).nodes_explored > 1
+    assert split >= 6, split
 
 
 def test_fractional_packing_prunes_where_the_other_bounds_miss():
@@ -283,7 +374,7 @@ def test_tau_matches_bruteforce_and_oracle_on_random_linear(data):
     max_deg = data.draw(st.integers(1, 5), label="max_deg")
     m = data.draw(st.integers(0, max_deg * n // k), label="m")
     h = random_linear(n, k, max_deg, m, data.draw(st.integers(0, 2**32 - 1), label="seed"))
-    got, want = tau(h), oracle_tau(h)
+    got, want = tau(h), oracle_by_components(h)
     assert got.tau == tau_bruteforce(h).tau == want.tau
     assert got.witness == want.witness
     assert got.nodes_explored <= want.nodes_explored
@@ -319,7 +410,8 @@ def _spy_root_queries(monkeypatch) -> list[tuple[int, int, object]]:
 
 def test_orbit_rule_keeps_tau_and_witness(monkeypatch):
     # the same search without the orbit rule: same tau and witness, never
-    # fewer nodes; the rule must fire on the plane families
+    # fewer nodes; the rule must fire on the plane families, and on the
+    # AG(2,5) pair in each component's own search
     fired = []
     for name, h in CORPUS:
         got, plain = tau(h), _unpruned_tau(h, monkeypatch)
@@ -327,8 +419,24 @@ def test_orbit_rule_keeps_tau_and_witness(monkeypatch):
         assert got.nodes_explored <= plain.nodes_explored, name
         if got.nodes_explored < plain.nodes_explored:
             fired.append(name)
-    assert {"AG(2,5)", "AG(2,5)-1", "onh(g30)", "AG(2,5)-relabel", "onh(g30)-relabel"} <= set(fired)
+    pairs = {"AG(2,5)-pair", "AG(2,5)+AG(2,5)-1"}
+    assert {"AG(2,5)", "AG(2,5)-1", "AG(2,5)-relabel", *pairs} <= set(fired)
     assert len(fired) >= 6, fired
+    found_on = []
+    mapping = Automorphisms.mapping
+
+    def spy_mapping(self, u, v):
+        perm = mapping(self, u, v)
+        if perm is not None:
+            found_on.append(self.h)
+        return perm
+
+    monkeypatch.setattr(Automorphisms, "mapping", spy_mapping)
+    for name in sorted(pairs):
+        found_on.clear()
+        tau(dict(CORPUS)[name])
+        assert len({id(h) for h in found_on}) == 2, name
+        assert {h.n for h in found_on} <= {24, 25}, name
 
 
 def test_orbit_rule_at_every_node_keeps_tau_and_witness(monkeypatch):
@@ -339,7 +447,7 @@ def test_orbit_rule_at_every_node_keeps_tau_and_witness(monkeypatch):
     monkeypatch.setattr(linhyp.solver, "_ROUND_NODES", 1e-9)
     fired = []
     for name, h in CORPUS:
-        got, want = tau(h), oracle_tau(h)
+        got, want = tau(h), oracle_by_components(h)
         assert (got.tau, got.witness) == (want.tau, want.witness), name
         if got.nodes_explored < _unpruned_tau(h, monkeypatch).nodes_explored:
             fired.append(name)
@@ -360,7 +468,7 @@ def test_orbit_rule_node_counts(monkeypatch):
     assert [v for _, v, found in asked if found is not None] == [v for _, v, _ in asked]
     assert len(asked) == 2
     assert tau(affine_residual(5, 1)).nodes_explored == 465
-    assert tau(onh(g30())).nodes_explored == 1528
+    assert tau(onh(g30())).nodes_explored == 208  # 1,528 before the split
     assert tau(affine_residual(7, 5)).nodes_explored == 469
 
 
@@ -398,7 +506,8 @@ def test_orbit_tests_on_a_rigid_circulant(monkeypatch):
     # the root's children are one orbit, but no automorphism fixes a vertex
     # and moves another: every test below the root finds nothing.  Every
     # searched child with a large enough subtree still builds one, so this
-    # pins what those vain tests cost: 106 refinement rounds.  It was 33
+    # pins what those vain tests cost: 107 refinement rounds, one of them
+    # the check that the host is not discrete (106 before it).  It was 33
     # while only the subtrees of children searched before any test of their
     # parent's could test, and 9 with the rule at the root only, on the same
     # 5,715 nodes.  Before the dominance rule: 20,469 nodes, and 265 rounds
@@ -415,7 +524,40 @@ def test_orbit_tests_on_a_rigid_circulant(monkeypatch):
     monkeypatch.setattr(linhyp.core, "_refine", counting)
     got = tau(h)
     assert (got.tau, got.nodes_explored) == (23, 5715)
-    assert sum(rounds) == 106
+    assert sum(rounds) == 107
+
+
+def test_rigid_exit_keeps_every_search(monkeypatch):
+    # The two shrunk PG(2,7) hosts of `prob mc --p 7 --seed 7` refine to a
+    # discrete colouring in three rounds, so only the identity preserves it
+    # and no orbit test is built: 17 and 29 automorphism queries, each
+    # answering None, before the exit.  With the exit off, every search
+    # keeps its tau, witness and nodes.
+    pg7 = projective_plane(7)
+    mc = [shrink(pg7, ShrinkConfig(4, 7 ^ (0x51AB1E * (t + 1)))) for t in range(2)]
+    hosts = [h for _, h in CORPUS] + mc
+    asked = []
+    mapping = Automorphisms.mapping
+
+    def spy_mapping(self, u, v):
+        asked.append((u, v))
+        return mapping(self, u, v)
+
+    monkeypatch.setattr(Automorphisms, "mapping", spy_mapping)
+    with monkeypatch.context() as m:
+        m.setattr(Automorphisms, "discrete", lambda self: False)
+        off = [tau(h) for h in hosts]
+        assert asked
+        asked.clear()
+        for h in mc:
+            tau(h)
+        assert len(asked) == 17 + 29
+    asked.clear()
+    for h in mc:
+        assert Automorphisms(h).discrete()
+        tau(h)
+    assert asked == []
+    assert [tau(h) for h in hosts] == off
 
 
 # The root's pick is the edge {0, 4}: vertex 4 has residual degree 3, and
@@ -438,7 +580,7 @@ def test_dominance_rule_at_every_node_keeps_tau_and_witness(monkeypatch):
         for i in range(400)
     ]
     for name, h in hosts:
-        got, want = _unpruned_tau(h, monkeypatch), oracle_tau(h)
+        got, want = _unpruned_tau(h, monkeypatch), oracle_by_components(h)
         assert (got.tau, got.witness) == (want.tau, want.witness), name
         assert got.nodes_explored <= want.nodes_explored, name
         if h.n <= 16:
