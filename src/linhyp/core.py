@@ -316,28 +316,41 @@ def dual_graph(h: Hypergraph) -> Graph:
     return Graph._trusted(h.m, tuple(adj), None)
 
 
+def component_masks(edge_masks: Sequence[int]) -> list[int]:
+    """The vertex sets of the connected components that hold edges, as
+    bitmasks, in the order of their first edges.  A component grows from
+    the first edge left: each pass over the edges left merges every edge
+    that meets the union so far, until a pass merges none."""
+    parts = []
+    left = edge_masks
+    while left:
+        union = left[0]
+        left = left[1:]
+        while True:
+            rest = []
+            for em in left:
+                if em & union:
+                    union |= em
+                else:
+                    rest.append(em)
+            if len(rest) == len(left):
+                break
+            left = rest
+        parts.append(union)
+    return parts
+
+
 def components(h: Hypergraph | Graph) -> list[set[int]]:
-    """Connected components as vertex sets, ordered by smallest member.
+    """Connected components as vertex sets, ordered by smallest member:
+    those of ``component_masks`` and one singleton per vertex in no edge.
 
     Reads only ``n`` and ``edges``, so it serves graphs as well.
     """
-    parent = list(range(h.n))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for e in h.edges:
-        for v in e[1:]:
-            ra, rb = find(e[0]), find(v)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict[int, set[int]] = {}
-    for v in range(h.n):
-        groups.setdefault(find(v), set()).add(v)
-    return sorted(groups.values(), key=min)
+    parts = component_masks([vertex_mask(e) for e in h.edges])
+    # the parts are disjoint, so their sum is their union
+    parts += [1 << v for v in members((1 << h.n) - 1 - sum(parts))]
+    parts.sort(key=lambda part: part & -part)
+    return [set(members(part)) for part in parts]
 
 
 def component_count(h: Hypergraph | Graph) -> int:

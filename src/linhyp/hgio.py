@@ -6,7 +6,8 @@ Layout (ASCII, LF line endings)::
     p hg <n> <m>
     e <v1> <v2> ...     (m lines, 1-based ids, strictly increasing)
 
-Readers reject out-of-range ids, unsorted ids, and a wrong edge count.
+A line whose first token is ``c`` is a comment, whatever whitespace
+follows it.  Readers reject out-of-range ids, unsorted ids, and a wrong edge count.
 Writers emit edges in canonical order.
 """
 
@@ -23,10 +24,9 @@ def loads(text: str) -> Hypergraph:
     n = m = None
     edges: list[list[int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("c ") or line == "c":
+        parts = raw.split()
+        if not parts or parts[0] == "c":
             continue
-        parts = line.split()
         if parts[0] == "p":
             if n is not None:
                 raise FormatError(f"line {lineno}: duplicate header")

@@ -18,6 +18,8 @@ from .core import (
     CertificateError,
     Graph,
     Hypergraph,
+    component_masks,
+    delete_vertices,
     members,
     onh,
     vertex_mask,
@@ -129,30 +131,6 @@ def _orbit_test(autos: Automorphisms, first: int) -> Callable[[int], bool]:
     return in_orbit
 
 
-def _components(masks: list[int]) -> list[int]:
-    """The vertex sets of the connected components that hold edges, as
-    bitmasks, in the order of their first edges.  A component grows from
-    the first edge left: each pass over the edges left merges every edge
-    that meets the union so far, until a pass merges none."""
-    parts = []
-    left = masks
-    while left:
-        union = left[0]
-        left = left[1:]
-        while True:
-            rest = []
-            for em in left:
-                if em & union:
-                    union |= em
-                else:
-                    rest.append(em)
-            if len(rest) == len(left):
-                break
-            left = rest
-        parts.append(union)
-    return parts
-
-
 def tau(h: Hypergraph) -> TransversalResult:
     """Exact transversal number by bitset branch and bound.
 
@@ -240,19 +218,21 @@ def tau(h: Hypergraph) -> TransversalResult:
     Components.  tau is additive over the connected components, and the
     search of a disconnected host runs through the product of their
     searches.  So once the whole host's root has run its bounds without
-    closing, one merge pass over the edge masks (``_components``) finds
-    the components that hold edges.  With two or more, each is searched in
-    turn on the host's masks, from its own edges, as tau of that component
-    alone, its vertices relabelled in increasing order, would search it:
-    from its own greedy cover (the host's greedy cover picks the same
-    vertices in it), with its own mean edge size and automorphisms.  The
-    host's fractional weights serve it unchanged: up to degree 16 both the
-    host's and the component's are exact, and above it they are equal.
-    tau is the sum, the witness the
-    union of the components' first optima, and ``nodes`` one for the whole
-    host's root plus the components' nodes; the union is re-checked on the
-    whole host.  A host whose root closes, or with one component holding
-    edges, keeps the single search and its witness.
+    closing, :func:`~linhyp.core.component_masks` finds the components
+    that hold edges.  With two or more, each is searched in turn on the
+    host's masks, from its own edges, as tau of that component alone
+    (``delete_vertices`` of the vertices outside it, which relabels its
+    vertices in increasing order) would search it: from its own greedy
+    cover (the host's greedy cover picks the same vertices in it), with its
+    own mean edge size and automorphisms, the latter on that
+    ``delete_vertices`` hypergraph, built when its first orbit test is due.
+    The host's fractional weights serve it unchanged: up to degree 16 both
+    the host's and the component's are exact, and above it they are equal.
+    tau is the sum, the witness the union of the components' first optima,
+    and ``nodes`` one for the whole host's root plus the components' nodes;
+    the union is re-checked on the whole host.  A host whose root closes, or
+    with one component holding edges, keeps the single search and its
+    witness.
     """
     masks = h.edge_masks()
     if not masks:
@@ -271,10 +251,11 @@ def tau(h: Hypergraph) -> TransversalResult:
     best_size = len(greedy)
     best_set = list(greedy)
     nodes = dominated = 0
-    # the edges searched (all of h, or one component's) and, once the first
-    # test is due, the hypergraph that the orbit tests run on: h, or that
-    # component with its vertices relabelled in increasing order by ``at``
-    scope, sub, at = everything, h, range(h.n)
+    # the edges searched (all of h, or one component's), the component's
+    # vertex mask (0 for all of h) and, once the first test is due, the
+    # hypergraph that the orbit tests run on: h, or that component with its
+    # vertices relabelled in increasing order by ``at``
+    scope, part, sub, at = everything, 0, h, range(h.n)
     autos: Optional[Automorphisms] = None  # built when the first test is due
     rigid = False
     edge_size = 0.0
@@ -292,11 +273,9 @@ def tau(h: Hypergraph) -> TransversalResult:
         if spent < _TEST_NODES:
             return None
         if autos is None:
-            if scope != everything:
-                edges = [h.edges[i] for i in members(scope)]
-                labels = sorted({v for e in edges for v in e})
-                at = {v: i for i, v in enumerate(labels)}
-                sub = Hypergraph(len(labels), [[at[v] for v in e] for e in edges])
+            if part:
+                sub = delete_vertices(h, (v for v in range(h.n) if not part >> v & 1))
+                at = {v: i for i, v in enumerate(members(part))}
             autos = Automorphisms(sub)
             # the identity alone preserves a discrete colouring, so on a
             # rigid host every query would answer None
@@ -311,10 +290,11 @@ def tau(h: Hypergraph) -> TransversalResult:
 
     def search_component(vertices: int) -> None:
         # the search that tau of the component on these vertices would run
-        nonlocal best_size, best_set, scope, autos, rigid, edge_size
+        nonlocal best_size, best_set, scope, part, autos, rigid, edge_size
         best_set = [v for v in greedy if vertices >> v & 1]
         best_size = len(best_set)
         scope = sum(bit for bit, em in edge_at.items() if em & vertices)
+        part = vertices
         autos, rigid, edge_size = None, False, 0.0
         dfs(scope, [], 0)
 
@@ -372,7 +352,7 @@ def tau(h: Hypergraph) -> TransversalResult:
         if load > (room - 1) * lcm_all:
             return
         if unc == everything:  # the root, and its bounds leave it open
-            parts = _components(masks)
+            parts = component_masks(masks)
             if len(parts) > 1:
                 size, witness = 0, []
                 for vertices in parts:

@@ -197,7 +197,9 @@ def obs61_suite(kind: str) -> PropertyReport:
     # on the catalog and could never occur in a host.)
 
     # (l): independent T1 of size 3, singleton T2; see _check_property_l
-    bad_l = _check_property_l(h, idx, deg, adj)
+    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
+    triples = _independent_triples(lowdeg, adj)
+    bad_l = _check_property_l(idx, lowdeg, triples)
     checks.append(CheckResult("l", True, not bad_l, str(bad_l[:3]) or None))
 
     # (m): singleton T1, non-adjacent pair T2; see _check_property_m
@@ -213,7 +215,7 @@ def obs61_suite(kind: str) -> PropertyReport:
     )
 
     # (n): independent T1, T2 of size 3 and T3 of size 2; see _check_property_n
-    bad_n = _check_property_n(h, idx, deg, adj)
+    bad_n = _check_property_n(h, idx, lowdeg, triples, adj)
     checks.append(CheckResult("n", True, not bad_n, str(bad_n[:2]) or None))
 
     # (o): external 2-intersections; see _check_property_o
@@ -251,17 +253,14 @@ def _check_property_h(h: Hypergraph, idx: _TransversalIndex) -> list:
     return [(u, v) for u in range(h.n) for v in members(idx.apart[u] & ~((2 << u) - 1))]
 
 
-def _check_property_l(
-    h: Hypergraph, idx: _TransversalIndex, deg: list[int], adj: list[int]
-) -> list:
-    """Item (l): the (T1, v), T1 an independent triple and v a vertex outside
-    it, all of degree <= 2, with no minimum transversal hitting both: v lies
-    in ``apart`` of each vertex of T1.
+def _check_property_l(idx: _TransversalIndex, lowdeg: list[int], triples: list) -> list:
+    """Item (l): the (T1, v), T1 one of ``triples``, the independent triples
+    of ``lowdeg``, and v a vertex of ``lowdeg`` outside it, with no minimum
+    transversal hitting both: v lies in ``apart`` of each vertex of T1.
     """
-    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
     low = vertex_mask(lowdeg)
     bad = []
-    for t1 in _independent_triples(lowdeg, adj):
+    for t1 in triples:
         a, b, c = t1
         w = low & idx.apart[a] & idx.apart[b] & idx.apart[c] & ~vertex_mask(t1)
         bad += [(t1, v) for v in members(w)]
@@ -320,13 +319,14 @@ def _pair_shares_three(free: list[tuple[int, int]], adj: list[int]) -> bool:
 
 
 def _check_property_n(
-    h: Hypergraph, idx: _TransversalIndex, deg: list[int], adj: list[int]
+    h: Hypergraph, idx: _TransversalIndex, lowdeg: list[int], triples: list, adj: list[int]
 ) -> list:
     """Item (n): the pairwise disjoint independent T1, T2 of size 3 and T3
-    of size 2, all of degree-<=2 vertices, that no minimum transversal hits
-    all of, by T1, T2 and then T3 in lexicographic order.  Size 2 binds for
-    T3, since any larger independent T3 contains an independent pair and
-    hitting the pair hits T3.
+    of size 2, all of degree-<=2 vertices (``lowdeg``, whose independent
+    triples are ``triples``), that no minimum transversal hits all of, by
+    T1, T2 and then T3 in lexicographic order.  Size 2 binds for T3, since
+    any larger independent T3 contains an independent pair and hitting the
+    pair hits T3.
 
     Let U(T1, T3) be the union of the minimum transversals that hit both
     T1 and T3.  A transversal that hits all three lies in U and meets T2
@@ -352,8 +352,6 @@ def _check_property_n(
     only if two non-adjacent x, y keep three or more vertices in
     F(x) & F(y).
     """
-    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
-    triples = _independent_triples(lowdeg, adj)
     if not triples:
         return []
     bv = idx.by_vertex

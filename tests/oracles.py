@@ -36,6 +36,29 @@ def max_matching_bruteforce(g: Graph, guard_m: int = 60) -> int:
     return best
 
 
+def components_union_find(h: Hypergraph | Graph) -> list[set[int]]:
+    """Connected components as vertex sets, ordered by smallest member, by
+    union-find with path halving: the library's routine before it ran on
+    edge-mask merges, kept as its reference."""
+    parent = list(range(h.n))
+
+    def find(a: int) -> int:
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    for e in h.edges:
+        for v in e[1:]:
+            ra, rb = find(e[0]), find(v)
+            if ra != rb:
+                parent[rb] = ra
+    groups: dict[int, set[int]] = {}
+    for v in range(h.n):
+        groups.setdefault(find(v), set()).add(v)
+    return sorted(groups.values(), key=min)
+
+
 def girth(g: Graph) -> Optional[int]:
     """Length of a shortest cycle, or None if the graph is a forest."""
     best: Optional[int] = None

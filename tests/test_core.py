@@ -15,6 +15,7 @@ from linhyp.core import (
     bipartite_complement,
     complement_hypergraph,
     component_count,
+    component_masks,
     components,
     delete_vertices,
     dual_graph,
@@ -31,7 +32,13 @@ from linhyp.rng import SplitMix64
 from linhyp.solver import tau
 
 from corpus import random_host
-from oracles import complete_bipartite, complete_graph, cycle_graph, gamma_t_bruteforce
+from oracles import (
+    complete_bipartite,
+    complete_graph,
+    components_union_find,
+    cycle_graph,
+    gamma_t_bruteforce,
+)
 
 
 def h4() -> Hypergraph:
@@ -440,7 +447,55 @@ class TestGraphComponents:
             assert components(g) == _bfs_components(g)
 
 
+# Hypergraphs whose components are easy to get wrong: vertices in no edge,
+# size-1 edges, duplicate edges, n = 0, and edge orders in which a later
+# edge joins two earlier parts, so that the merge needs a second pass.
+COMPONENT_HOSTS = {
+    "isolated": Hypergraph(6, [[1, 3], [3, 4]]),
+    "size-1 edges": Hypergraph(5, [[2], [0, 1], [4], [1]]),
+    "duplicates": Hypergraph(5, [[0, 2], [0, 2], [3, 4], [3, 4]]),
+    "empty": Hypergraph(0, []),
+    "edgeless": Hypergraph(3, []),
+    "late join": Hypergraph(4, [[0, 3], [1, 2], [2, 3]]),
+    "late joins": Hypergraph(9, [[0, 8], [1, 2], [3, 4], [5, 6], [2, 3], [4, 5], [6, 8]]),
+    "two copies": Hypergraph(8, [[0, 1, 2, 3], [4, 5, 6, 7]]),
+    "H10": special("H10"),
+    "H21_4": special("H21_4"),
+    "AG(2,3)-2": affine_residual(3, 2),
+    "AG(2,4)-4": affine_residual(4, 4),
+}
+
+
 class TestComponents:
+    @pytest.mark.parametrize("name", sorted(COMPONENT_HOSTS))
+    def test_matches_union_find(self, name):
+        h = COMPONENT_HOSTS[name]
+        expected = components_union_find(h)
+        assert components(h) == expected
+        assert component_count(h) == len(expected)
+        assert is_connected(h) == (len(expected) <= 1)
+        # the same edges as a graph wherever they are pairs
+        if all(len(e) == 2 for e in h.edges):
+            g = Graph(h.n, h.edges)
+            assert components(g) == components_union_find(g) == expected
+
+    def test_random_hosts_and_graphs_match_union_find(self):
+        rng = SplitMix64(2018)
+        for _ in range(60):
+            n = rng.randbelow(20)
+            h = random_host(rng, n, rng.randbelow(12), 4) if n else Hypergraph(0, [])
+            assert components(h) == components_union_find(h)
+            pairs = list(itertools.combinations(range(n), 2))
+            g = Graph(n, rng.sample(pairs, rng.randbelow(min(len(pairs), 15) + 1)))
+            assert components(g) == components_union_find(g)
+
+    def test_merge_takes_a_second_pass(self):
+        # in this order the third edge joins the first two parts, and the
+        # second edge merges only on the pass after it
+        assert component_masks([0b0011, 0b1100, 0b0110]) == [0b1111]
+        assert component_masks([0b0001, 0b0100, 0b1000]) == [0b0001, 0b0100, 0b1000]
+        assert component_masks([]) == []
+
     def test_two_copies(self):
         h = Hypergraph(8, [[0, 1, 2, 3], [4, 5, 6, 7]])
         assert len(components(h)) == 2

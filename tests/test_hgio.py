@@ -49,3 +49,8 @@ def test_rejections(text):
 def test_comments_ignored():
     h = hgio.loads("c a comment\nc another\np hg 3 1\ne 1 3\n")
     assert h.edges == ((0, 2),)
+    # the first token is the record, whatever whitespace ends it
+    h = hgio.loads("c\tnote\nc\n  c indented\np hg 2 1\ne 1 2\n")
+    assert h.edges == ((0, 1),)
+    with pytest.raises(hgio.FormatError, match="unknown record 'cfoo'"):
+        hgio.loads("cfoo\np hg 2 1\ne 1 2\n")

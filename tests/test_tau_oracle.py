@@ -34,7 +34,6 @@ from linhyp.core import (
     Automorphisms,
     Hypergraph,
     bipartite_complement,
-    components,
     is_linear,
     onh,
     shrink_remove,
@@ -50,6 +49,7 @@ from linhyp.solver import (
 )
 
 from corpus import random_host, relabel
+from oracles import components_union_find
 
 
 def _oracle_greedy_cover(masks: list[int], n: int) -> list[int]:
@@ -142,7 +142,7 @@ def oracle_tau(h: Hypergraph) -> TransversalResult:
 
 def _parts(h: Hypergraph) -> list[set[int]]:
     """The components of ``h`` that hold an edge."""
-    return [c for c in components(h) if any(c.issuperset(e) for e in h.edges)]
+    return [c for c in components_union_find(h) if any(c.issuperset(e) for e in h.edges)]
 
 
 def _by_parts(h: Hypergraph, solve) -> TransversalResult:
@@ -289,7 +289,7 @@ def test_split_keeps_the_whole_host_witness_on_the_corpus(monkeypatch):
     assert len(split) == 19
     got = [tau(h) for _, h in split]
     with monkeypatch.context() as m:
-        m.setattr(linhyp.solver, "_components", lambda masks: [None])
+        m.setattr(linhyp.solver, "component_masks", lambda masks: [None])
         whole = [tau(h) for _, h in split]
     for (name, _), r, w in zip(split, got, whole):
         assert (r.tau, r.witness) == (w.tau, w.witness), name
@@ -299,7 +299,7 @@ def test_split_keeps_the_whole_host_witness_on_the_corpus(monkeypatch):
         tau(Hypergraph(15, [[v - 15 * i for v in e] for e in g.edges if e[0] // 15 == i]))
         for i in (0, 1)
     ]
-    assert sorted(components(g), key=min) == [set(range(15)), set(range(15, 30))]
+    assert components_union_find(g) == [set(range(15)), set(range(15, 30))]
     assert [r.nodes_explored for r in halves] == [95, 112]
     assert tau(g).nodes_explored == 1 + 95 + 112
 

@@ -26,7 +26,7 @@ import pytest
 from linhyp import cli
 from linhyp.algebra import affine_plane, affine_residual, random_linear
 from linhyp.catalog import NAMES, SHAPES, order_class, special
-from linhyp.core import Hypergraph, components
+from linhyp.core import Hypergraph
 from linhyp.rng import SplitMix64
 from linhyp.solver import GuardExceeded, enumerate_min_transversals, tau
 from linhyp.verify import (
@@ -41,6 +41,7 @@ from linhyp.verify import (
     _check_property_n,
     _check_property_o,
     _check_property_p,
+    _independent_triples,
     _na,
     _TransversalIndex,
     h11_exceptional_triple,
@@ -48,6 +49,7 @@ from linhyp.verify import (
 )
 
 from corpus import random_host
+from oracles import components_union_find
 
 
 def oracle_enumerate(h: Hypergraph, guard_n: int = 25, guard_tau: int = 8):
@@ -249,7 +251,7 @@ def oracle_p(h, deg, check_double_h4: bool = True):
         if deg[v] != 2:
             continue
         sub = Hypergraph(h.n, [e for e in h.edges if v not in e])
-        comps = [c for c in components(sub) if c != {v}]
+        comps = [c for c in components_union_find(sub) if c != {v}]
         if len(comps) == 2:
             if min(len(c) for c in comps) != 1:
                 return False, f"H - {v} has two non-trivial components"
@@ -444,6 +446,14 @@ def _frozen_items(name: str):
     )
 
 
+def _lowdeg_triples(h: Hypergraph, adj: list[int]):
+    """The vertices of degree <= 2 and their independent triples, as
+    ``obs61_suite`` passes them to items (l) and (n)."""
+    deg = h.degrees()
+    lowdeg = [v for v in range(h.n) if deg[v] <= 2]
+    return lowdeg, _independent_triples(lowdeg, adj)
+
+
 @pytest.mark.parametrize("name", [name for name, _ in ITEM_HOSTS])
 def test_item_helpers_match_frozen_loops(name):
     h = dict(ITEM_HOSTS)[name]
@@ -455,9 +465,10 @@ def test_item_helpers_match_frozen_loops(name):
     assert _check_property_h(h, idx) == bad_h
     assert [_check_i_j(idx, size, None)[1] for size in (3, 4)] == bad_i_j
     assert _check_property_k(h, idx) == bad_k
-    assert _check_property_l(h, idx, deg, adj) == bad_l
+    lowdeg, triples = _lowdeg_triples(h, adj)
+    assert _check_property_l(idx, lowdeg, triples) == bad_l
     assert [_check_property_m(h, idx, deg, adj, kind) for kind in ("H10", "H11")] == result_m
-    assert _check_property_n(h, idx, deg, adj) == bad_n
+    assert _check_property_n(h, idx, lowdeg, triples, adj) == bad_n
     assert _check_property_o(h, idx, deg, adj) == result_o
     assert [_check_property_p(h, deg, check) for check in (True, False)] == result_p
 
@@ -511,7 +522,8 @@ def test_item_n_reports_pairs_every_minimum_transversal_hits():
     h = dict(ITEM_HOSTS)["forced"]
     idx = _TransversalIndex(h)
     assert idx.transversals == [(0, 3)]
-    bad = _check_property_n(h, idx, h.degrees(), _adjacency_masks(h))
+    adj = _adjacency_masks(h)
+    bad = _check_property_n(h, idx, *_lowdeg_triples(h, adj), adj)
     assert ((0, 1, 2), (3, 4, 5), (6, 7)) in bad
 
 
@@ -523,7 +535,7 @@ def test_item_o_on_edgeless_hosts_matches_frozen_loop(n):
     assert _check_property_o(h, _TransversalIndex(h), deg, adj) == expected == (True, None)
     # the one minimum transversal is empty, so item (n) fails on every
     # choice of T1, T2 and T3: 2520 of them at n = 9, in the frozen order
-    bad_n = _check_property_n(h, _TransversalIndex(h), deg, adj)
+    bad_n = _check_property_n(h, _TransversalIndex(h), *_lowdeg_triples(h, adj), adj)
     assert bad_n == oracle_n(h, OracleIndex(h), deg)
     assert len(bad_n) == (2520 if n == 9 else 0)
 
