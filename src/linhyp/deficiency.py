@@ -100,6 +100,7 @@ class _Plan:
     layout: tuple[int, ...]  # representative key: vertex v is v, edge e is n + e
     vertex_at: tuple[int, ...]  # position of each vertex in the key
     edge_at: tuple[int, ...]  # position of each edge in the key
+    need: tuple[int, ...]  # per step: the pattern's own edges that fit it (see _step_fits)
     group: tuple[tuple[int, ...], ...] = ()  # edge automorphisms: edge e goes to g[e]
     after: tuple[tuple[int, ...], ...] = ()  # per step: edges whose image must be smaller
 
@@ -146,14 +147,19 @@ def _plan(kind: str) -> _Plan:
         raise HypergraphError(f"edge-level search needs a linear pattern, not {kind}")
     n, m, edges = pattern.n, pattern.m, [set(e) for e in pattern.edges]
     deg = pattern.degrees()
+    own = _index(pattern)  # the pattern as its own host
+    profile = own.edge_degrees
 
-    # search order: most-constrained first (most vertices already mapped)
-    order = [0]
-    seen = set(edges[0])
-    while len(order) < len(edges):
+    # search order: the rarest edge first (the greatest degree profile, which
+    # the fewest host edges fit), then the edge sharing the most vertices
+    # with those already mapped, the rarer one on a tie
+    root = max(range(m), key=lambda i: (profile[i], -i))
+    order = [root]
+    seen = set(edges[root])
+    while len(order) < m:
         nxt = max(
-            (i for i in range(len(edges)) if i not in order),
-            key=lambda i: (len(seen & edges[i]), -i),
+            (i for i in range(m) if i not in order),
+            key=lambda i: (len(seen & edges[i]), profile[i], -i),
         )
         order.append(nxt)
         seen |= edges[nxt]
@@ -176,7 +182,7 @@ def _plan(kind: str) -> _Plan:
         steps.append(
             _Step(
                 e,
-                tuple(sorted((deg[v] for v in edges[e]), reverse=True)),
+                profile[e],
                 tuple(t for t, k in enumerate(meets) if not k),
                 tuple((t, k) for t, k in enumerate(meets) if k),
                 placed_before[0] if placed_before else -1,
@@ -214,12 +220,13 @@ def _plan(kind: str) -> _Plan:
         tuple(layout),
         tuple(layout.index(v) for v in range(n)),
         tuple(layout.index(n + e) for e in range(m)),
+        tuple(own.fit(profile[e]).bit_count() for e in order),
         after=((),) * m,
     )
 
     # The edge automorphisms are the mappings of the pattern onto itself.
     group: list[tuple[int, ...]] = []
-    _search(_index(pattern), plan, lambda values, used, placed: group.append(tuple(values[n:])))
+    _search(own, plan, lambda values, used, placed: group.append(tuple(values[n:])))
 
     # Grochow-Kellis conditions: along the steps, the edge of each step takes
     # the least image over its orbit under the automorphisms fixing the edges
@@ -255,6 +262,20 @@ def _plan(kind: str) -> _Plan:
     return replace(plan, group=tuple(group), after=tuple(after))
 
 
+def _step_fits(index: _Index, plan: _Plan) -> Optional[list[int]]:
+    """Per step, the mask of the indexed host edges that fit its pattern
+    edge, or None when some step's mask holds fewer edges than its ``need``.
+
+    Distinct pattern edges map to distinct host edges, each fitting its own
+    pattern edge, and a host edge that fits an edge whose degrees are nowhere
+    below a step's fits that step too.  So None means the host holds no copy.
+    """
+    fit = [index.fit(step.degrees) for step in plan.steps]
+    if any(mask.bit_count() < k for mask, k in zip(fit, plan.need)):
+        return None
+    return fit
+
+
 def _search(
     index: _Index, plan: _Plan, leaf: Callable[[list[int], int, int], None]
 ) -> None:
@@ -269,8 +290,8 @@ def _search(
     """
     n, steps, after = plan.n, plan.steps, plan.after
     masks, incidence = index.masks, index.incidence
-    fit = [index.fit(step.degrees) for step in steps]
-    if not all(fit):
+    fit = _step_fits(index, plan)
+    if fit is None:
         return
     values = [0] * len(plan.layout)  # vertex images, then edge images
     step_masks = [0] * len(steps)
@@ -334,14 +355,19 @@ def _search(
 def find_embeddings(host: Hypergraph, kind: str) -> list[Embedding]:
     """All edge-induced copies of a catalog entry, one per edge-index set.
 
-    The search maps pattern edges to host edges, most-constrained edge
-    first (the one sharing the most vertices with those already mapped).
-    Candidates for an edge are the host edges at an already-mapped vertex
-    or edge, drawn from a vertex-to-incident-edges index.  One is kept if
-    it has the right size, is unused, and meets every earlier image in
-    exactly as many vertices as the pattern edges meet.  A host edge whose
-    vertex degrees, sorted, fall below the pattern edge's anywhere can host
-    no image of it and is never tried.  A pattern vertex of degree >= 2 is
+    The search maps pattern edges to host edges.  It starts at the rarest
+    pattern edge, the one whose vertex degrees, sorted, are lexicographically
+    greatest; each later step takes the edge sharing the most vertices with
+    those already mapped.  Candidates for an edge are the host edges at an
+    already-mapped vertex or edge, drawn from a vertex-to-incident-edges
+    index.  One is kept if it has the right size, is unused, and meets every
+    earlier image in exactly as many vertices as the pattern edges meet.  A
+    host edge whose vertex degrees, sorted, fall below the pattern edge's
+    anywhere can host no image of it and is never tried.  Before any step is
+    tried, the host edges that fit each step are counted: if they are fewer
+    than the pattern edges whose degrees are nowhere below the step's, each
+    of which needs a host edge of its own that fits the step, there is no
+    copy and the search returns at once.  A pattern vertex of degree >= 2 is
     placed at the one vertex its edges' images share, and placed images are
     distinct.  Degree-1 vertices take the leftover slots of their edge's
     image in increasing order.  The host's index is built once and shared

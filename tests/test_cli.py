@@ -3,13 +3,23 @@
 import argparse
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from linhyp import cli, hgio
+from linhyp.catalog import special
 from linhyp.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
-from linhyp.core import hypergraph_isomorphic
-from linhyp.algebra import affine_plane
+from linhyp.core import hypergraph_isomorphic, onh
+from linhyp.algebra import affine_plane, g30, random_linear
+
+from corpus import bridged
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def run(capsys, *argv):
@@ -547,3 +557,34 @@ def test_manifest_keys(case, tmp_path, capsys):
         assert host.read_bytes() != before
     if "seed" in extra:
         assert manifest["seed"] == 3
+
+
+# (command, host): each is run in a fresh interpreter under four hash seeds
+DETERMINISM_CASES = {
+    "defic-H21_5": ("defic", special("H21_5")),
+    "defic-bridged-H14_2-H10": ("defic", bridged(("H14_2", "H10"), 1, 8)),
+    "defic-random-28": ("defic", random_linear(28, 4, 3, 10, 1)),
+    "solve-onh-g30": ("solve", onh(g30())),
+}
+
+
+@pytest.mark.parametrize("case", list(DETERMINISM_CASES))
+def test_json_is_identical_under_every_hash_seed(case, tmp_path):
+    command, host = DETERMINISM_CASES[case]
+    path = tmp_path / "host.hg"
+    path.write_text(hgio.dumps(host), encoding="ascii")
+    outputs = set()
+    for hash_seed in range(4):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(hash_seed),
+            PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
+        )
+        out = subprocess.run(
+            [sys.executable, "-m", "linhyp.cli", command, str(path)],
+            env=env, capture_output=True, timeout=120, check=True,
+        ).stdout
+        outputs.add(re.sub(rb'"elapsed_ms": [0-9.]+', b'"elapsed_ms": 0', out))
+    assert len(outputs) == 1, case
+    payload = json.loads(outputs.pop())
+    assert payload["manifest"]["elapsed_ms"] == 0

@@ -1,6 +1,7 @@
 """Special-set machinery: embeddings, E*, deficiency, key inequality."""
 
 from itertools import combinations, permutations
+from operator import ge
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -103,6 +104,39 @@ class TestFindEmbeddings:
 
         want = {g for g in permutations(range(len(edges))) if keeps_meets(g)}
         assert set(_plan(kind).group) == want
+
+    def test_plans_start_at_a_greatest_degree_profile(self):
+        for kind in NAMES[1:]:
+            steps = _plan(kind).steps
+            first = steps[0].degrees
+            # no other edge has degrees nowhere below the first step's
+            assert not any(
+                s.degrees != first and all(map(ge, s.degrees, first)) for s in steps
+            ), kind
+            # the lexicographically greatest profile, least edge index on a tie
+            greatest = max(s.degrees for s in steps)
+            assert steps[0].edge == min(s.edge for s in steps if s.degrees == greatest), kind
+
+    def test_need_counts_per_step(self):
+        # per step, the pattern edges whose sorted degrees are nowhere below
+        # the step's: at least that many host edges must fit the step
+        needs = {kind: _plan(kind).need for kind in NAMES if kind != "H4"}
+        assert needs == {
+            "H10": (5, 5, 5, 5, 5),
+            "H11": (3, 3, 3, 5, 5),
+            "H14_1": (3, 3, 6, 3, 6, 6, 7),
+            "H14_2": (3, 3, 6, 3, 6, 6, 7),
+            "H14_3": (3, 3, 6, 6, 6, 3, 7),
+            "H14_4": (1, 5, 5, 5, 5, 7, 7),
+            "H14_5": (7, 7, 7, 7, 7, 7, 7),
+            "H14_6": (7, 7, 7, 7, 7, 7, 7),
+            "H21_1": (5, 5, 5, 11, 11, 5, 5, 9, 7, 7, 9),
+            "H21_2": (3, 3, 3, 11, 11, 9, 9, 9, 9, 9, 9),
+            "H21_3": (6, 6, 6, 11, 11, 6, 6, 6, 9, 9, 9),
+            "H21_4": (1, 6, 6, 8, 6, 8, 11, 6, 6, 11, 11),
+            "H21_5": (6, 6, 11, 6, 11, 11, 6, 6, 11, 6, 11),
+            "H21_6": (1, 5, 5, 5, 11, 11, 11, 5, 11, 11, 11),
+        }
 
     def test_conditions_bound_later_steps_by_their_orbits(self):
         def closure(bounds, edges):

@@ -13,12 +13,13 @@ import json
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from linhyp import cli
 from linhyp.algebra import affine_residual, random_linear
 from linhyp.catalog import NAMES, special
 from linhyp.core import Hypergraph
-from linhyp.deficiency import Embedding, find_embeddings
+from linhyp.deficiency import Embedding, _index, _plan, _step_fits, find_embeddings
 from linhyp.hgio import dumps
 from linhyp.rng import SplitMix64
 
@@ -99,6 +100,11 @@ def with_twin_edges(h: Hypergraph, count: int) -> Hypergraph:
     return Hypergraph(h.n, list(h.edges) + list(h.edges[:count]))
 
 
+def without_edge(h: Hypergraph, e: int) -> Hypergraph:
+    """h with edge ``e`` deleted; its vertices stay."""
+    return Hypergraph(h.n, [f for i, f in enumerate(h.edges) if i != e])
+
+
 CATALOG = [(f"catalog-{k}", special(k)) for k in NAMES]
 RESIDUALS = [
     (f"residual-{q}-{s}", affine_residual(q, s)) for q in (2, 3, 4, 5) for s in range(1, q + 1)
@@ -140,7 +146,23 @@ TWINS = [
     (f"pair-{k}", bridged((k, k), 2, seed))
     for seed, k in enumerate(("H10", "H14_2", "H14_5", "H21_2", "H21_5"), 11)
 ]
-CORPUS = CATALOG + RESIDUALS + RANDOM + NONLINEAR + BRIDGED + RELABELLED + TWINS
+# each entry with one edge deleted: too few host edges fit some step of the
+# entry's own plan, and of many smaller kinds' plans, for a copy to exist
+REFUTED = [
+    (k, relabel(without_edge(special(k), seed % special(k).m), seed))
+    for seed, k in enumerate(NAMES)
+    if k != "H4"
+]
+CORPUS = (
+    CATALOG
+    + RESIDUALS
+    + RANDOM
+    + NONLINEAR
+    + BRIDGED
+    + RELABELLED
+    + TWINS
+    + [(f"catalog-{k}-minus-edge", host) for k, host in REFUTED]
+)
 
 
 @pytest.mark.parametrize("name,host", CORPUS, ids=[name for name, _ in CORPUS])
@@ -157,6 +179,46 @@ def test_corpus_reaches_non_h4_copies():
         if kind != "H4" and find_embeddings(host, kind)
     }
     assert found == set(NAMES) - {"H4"}
+
+
+@pytest.mark.parametrize("kind,host", REFUTED, ids=[k for k, _ in REFUTED])
+def test_fit_counts_refute_an_entry_missing_an_edge(kind, host):
+    # find_embeddings turns the entry's own kind away on the edge count alone,
+    # so the fit counts are asked directly; the intact entry passes them
+    plan = _plan(kind)
+    assert _step_fits(_index(host), plan) is None
+    assert _step_fits(_index(relabel(special(kind), 1)), plan) is not None
+
+
+def test_fit_counts_refute_smaller_kinds_before_any_extension(monkeypatch):
+    module = importlib.import_module("linhyp.deficiency")
+    refuted = []
+
+    def spy(index, plan):
+        fit = _step_fits(index, plan)
+        refuted.append(fit is None)
+        return fit
+
+    for kind in NAMES[1:]:
+        _plan(kind)  # built first: a plan's own search would reach the spy
+    monkeypatch.setattr(module, "_step_fits", spy)
+    for _, host in REFUTED:
+        for kind in NAMES:
+            find_embeddings(host, kind)
+    # kinds with as many vertices and edges as the host reach the search
+    assert (len(refuted), sum(refuted)) == (60, 32)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=20, deadline=None)
+def test_random_bridged_hosts_match_oracle(seed):
+    rng = SplitMix64(seed)
+    kinds = tuple(NAMES[rng.randbelow(len(NAMES))] for _ in range(1 + rng.randbelow(2)))
+    host = bridged(kinds, rng.randbelow(3) if len(kinds) > 1 else 0, seed)
+    if rng.randbelow(2):
+        host = without_edge(host, rng.randbelow(host.m))
+    for kind in NAMES:
+        assert find_embeddings(host, kind) == oracle_find_embeddings(host, kind), (kinds, kind)
 
 
 def defic_json(path: str, capsys) -> dict:
