@@ -178,8 +178,8 @@ def cmd_defic(args):
 
 def cmd_dual(args):
     h = hgio.load(args.file)
+    g = dual_graph(h)  # validates linearity and max degree <= 2 before the guard
     _solve_guard(h.n)
-    g = dual_graph(h)
     alpha = max_matching_general(g).size
     t = tau(h).tau
     holds = t == h.m - alpha

@@ -377,6 +377,8 @@ def _refine(
     so equal class counts mean equal partitions, and edge classes that did
     not split leave the vertex classes as they are.  Colours are named in
     order of first appearance, so they are consistent within one call only.
+    ``inc`` lists the edge ids at each vertex; lists beyond ``len(col)`` are
+    ignored.
     """
     count, ecount = len(set(col)), -1
     spent = 0
@@ -400,14 +402,6 @@ def _refine(
     return col, spent, False
 
 
-def _incidence_lists(n: int, edges: Sequence[Sequence[int]]) -> list[list[int]]:
-    inc: list[list[int]] = [[] for _ in range(n)]
-    for i, e in enumerate(edges):
-        for v in e:
-            inc[v].append(i)
-    return inc
-
-
 def _maps_onto(perm: Sequence[int], e1: Sequence[Sequence[int]], want: list[tuple]) -> bool:
     """True iff ``perm`` maps the edge multiset ``e1`` onto ``want`` (sorted)."""
     return sorted(tuple(sorted([perm[v] for v in e])) for e in e1) == want
@@ -427,7 +421,11 @@ class _Union:
         self.n = n
         self.e1 = e1
         self.edges = [*e1, *([v + n for v in e] for e in e2)]
-        self.inc = _incidence_lists(2 * n, self.edges)
+        # the edge ids at each vertex; the first n lists are e1's alone
+        self.inc: list[list[int]] = [[] for _ in range(2 * n)]
+        for i, e in enumerate(self.edges):
+            for v in e:
+                self.inc[v].append(i)
         self.want = sorted(map(tuple, e2))
 
     def search(self, col: list[int], budget: float = math.inf) -> tuple[Optional[list[int]], int]:
@@ -502,13 +500,12 @@ class Automorphisms:
         self.left = math.inf
         self.colors = [0] * h.n
         self.equitable = False
-        self._inc = _incidence_lists(h.n, h.edges)
         self._union = _Union(h.n, h.edges, h.edges)
 
     def restricted(self, colors: list[int], budget: int) -> Automorphisms:
         """Queries for the automorphisms of the same H that preserve
         ``colors``, under a budget of their own; they share this object's
-        incidence lists and union of H with itself."""
+        union of H with itself, whose first n incidence lists are H's."""
         out = copy.copy(self)
         out.left, out.colors, out.equitable = budget, colors, False
         return out
@@ -518,7 +515,7 @@ class Automorphisms:
         whether each class then holds one vertex.  If so, the identity is
         the only automorphism that preserves the colouring, or any colouring
         that refines it, and every query for u != v answers None."""
-        self.colors, _, self.equitable = _refine(self.colors, self.h.edges, self._inc)
+        self.colors, _, self.equitable = _refine(self.colors, self.h.edges, self._union.inc)
         return len(set(self.colors)) == self.h.n
 
     def mapping(self, u: int, v: int) -> Optional[list[int]]:
@@ -529,7 +526,7 @@ class Automorphisms:
             if self.left <= 0:
                 return None
             self.colors, spent, self.equitable = _refine(
-                self.colors, self.h.edges, self._inc, 1
+                self.colors, self.h.edges, self._union.inc, 1
             )
             self.left -= spent
         if self.colors[u] != self.colors[v]:

@@ -488,12 +488,13 @@ def deficiency(
     toward the lexicographically least edge-index footprint.  The value is
     never below 0 (the empty set is admissible).  If given, ``visitor`` is
     called once on every special set the search forms, in search order; the
-    first is the empty set, at the root.
+    first is the empty set, at the root.  A non-linear host raises
+    ``HypergraphError`` before the guard is checked.
     """
-    if host.n > guard_n:
-        raise GuardExceeded(f"n={host.n} exceeds deficiency guard {guard_n}")
     if not is_linear(host):
         raise HypergraphError("deficiency is defined over linear hosts here")
+    if host.n > guard_n:
+        raise GuardExceeded(f"n={host.n} exceeds deficiency guard {guard_n}")
 
     cands = _candidate_embeddings(host)
     inc = host.incidence_masks()

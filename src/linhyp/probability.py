@@ -22,11 +22,9 @@ GUARD_BAND = 1e-12
 
 
 def binom(n: int, r: int) -> int:
-    """Exact binomial coefficient; r > n yields 0 by convention."""
+    """Exact binomial coefficient; r > n yields 0, as ``math.comb`` does."""
     if n < 0 or r < 0:
         raise ArgumentError("binom needs non-negative arguments")
-    if r > n:
-        return 0
     return math.comb(n, r)
 
 

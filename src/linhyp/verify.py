@@ -3,9 +3,12 @@
 The property suite re-does the "verified by computer" work for every special
 hypergraph: structural values, minimum-transversal coverage properties, and
 the two component conditions.  It works on bitmasks: each vertex carries
-the index mask of the minimum transversals through it and the vertex mask
-of its co-edged neighbours; items (h)-(m) read their failing sets off
-``apart``.  Bound checks always validate their hypotheses, in
+the index mask of the minimum transversals through it, the vertex masks of
+the vertices sharing one with it (``together``) or none (``apart``), and
+the vertex mask of its co-edged neighbours.  One enumerator,
+``_independent``, lists the tuples that items (h)-(j) and (l)-(o) read:
+independent in ``together`` for (h)-(j), in the co-edge masks for
+(l)-(o).  Bound checks always validate their hypotheses, in
 ``bound_value``, before comparing.
 """
 
@@ -70,21 +73,19 @@ def _adjacency_masks(h: Hypergraph) -> list[int]:
     return [a & ~(1 << v) for v, a in enumerate(adj)]
 
 
-def _independent_pairs(mask: int, adj: list[int]) -> list[tuple[int, int]]:
-    """The non-adjacent pairs within ``mask``, in lexicographic order."""
-    return [
-        (a, b) for a in members(mask) for b in members(mask & ~adj[a] & ~((2 << a) - 1))
-    ]
-
-
-def _independent_triples(lowdeg: list[int], adj: list[int]) -> list[tuple[int, int, int]]:
-    """The independent triples of ``lowdeg``, in lexicographic order."""
-    low = vertex_mask(lowdeg)
-    return [
-        (a, b, c)
-        for a in lowdeg
-        for b, c in _independent_pairs(low & ~adj[a] & ~((2 << a) - 1), adj)
-    ]
+def _independent(mask: int, adj: list[int], size: int) -> list[tuple[int, ...]]:
+    """The increasing ``size``-tuples of members of ``mask`` no two of which
+    are joined in ``adj``, in lexicographic order.  Breadth first: each
+    prefix carries the mask of the vertices that may follow it, and the
+    last vertex, which none follows, is read straight off that mask."""
+    if not size:
+        return [()]
+    level = [((), mask)]
+    for _ in range(size - 1):
+        level = [
+            (t + (v,), rest & ~adj[v] & ~((2 << v) - 1)) for t, rest in level for v in members(rest)
+        ]
+    return [t + (v,) for t, rest in level for v in members(rest)]
 
 
 class _TransversalIndex:
@@ -97,11 +98,13 @@ class _TransversalIndex:
         for i, t in enumerate(self.transversals):
             for v in t:
                 self.by_vertex[v] |= 1 << i
-        # apart[u]: the vertices that share no minimum transversal with u
-        self.apart = [
-            vertex_mask(v for v, bv in enumerate(self.by_vertex) if not bu & bv)
+        # together[u]: the vertices that share a minimum transversal with u;
+        # apart[u]: the vertices that share none
+        self.together = [
+            vertex_mask(v for v, bv in enumerate(self.by_vertex) if bu & bv)
             for bu in self.by_vertex
         ]
+        self.apart = [~tm & ((1 << h.n) - 1) for tm in self.together]
 
 
 def _check_i_j(idx: _TransversalIndex, size: int, exception: Optional[set[int]]):
@@ -109,19 +112,9 @@ def _check_i_j(idx: _TransversalIndex, size: int, exception: Optional[set[int]])
     in >= 2 vertices, modulo the named H_11 exception for size 3.
 
     A subset fails iff its vertices pairwise share no minimum transversal,
-    so the failing subsets are grown vertex by vertex in increasing order,
-    each new vertex drawn from the later vertices apart from all before it.
+    that is, iff it is independent in ``together``.
     """
-    bad = []
-
-    def extend(chosen: tuple[int, ...], candidates: int) -> None:
-        if len(chosen) == size:
-            bad.append(set(chosen))
-            return
-        for v in members(candidates):
-            extend(chosen + (v,), candidates & idx.apart[v] & ~((2 << v) - 1))
-
-    extend((), (1 << idx.h.n) - 1)
+    bad = [set(t) for t in _independent((1 << idx.h.n) - 1, idx.together, size)]
     if exception is None:
         return (not bad), bad
     # exactly the exceptional subset may (and must) fail
@@ -198,7 +191,7 @@ def obs61_suite(kind: str) -> PropertyReport:
 
     # (l): independent T1 of size 3, singleton T2; see _check_property_l
     lowdeg = [v for v in range(h.n) if deg[v] <= 2]
-    triples = _independent_triples(lowdeg, adj)
+    triples = _independent(vertex_mask(lowdeg), adj, 3)
     bad_l = _check_property_l(idx, lowdeg, triples)
     checks.append(CheckResult("l", True, not bad_l, str(bad_l[:3]) or None))
 
@@ -241,16 +234,14 @@ def h11_exceptional_triple() -> list[int]:
     """H_11's three vertices with no neighbor of degree 1."""
     h = special("H11")
     deg = h.degrees()
-    with_deg1_neighbor: set[int] = set()
-    for e in h.edges:
-        if any(deg[v] == 1 for v in e):
-            with_deg1_neighbor.update(e)
-    return [v for v in range(h.n) if v not in with_deg1_neighbor]
+    deg1 = vertex_mask(v for v in range(h.n) if deg[v] == 1)
+    return [v for v, a in enumerate(_adjacency_masks(h)) if not (a | 1 << v) & deg1]
 
 
 def _check_property_h(h: Hypergraph, idx: _TransversalIndex) -> list:
-    """Item (h): the pairs u < v in no common minimum transversal: v in ``apart[u]``."""
-    return [(u, v) for u in range(h.n) for v in members(idx.apart[u] & ~((2 << u) - 1))]
+    """Item (h): the pairs u < v in no common minimum transversal, the
+    independent pairs of ``together``."""
+    return _independent((1 << h.n) - 1, idx.together, 2)
 
 
 def _check_property_l(idx: _TransversalIndex, lowdeg: list[int], triples: list) -> list:
@@ -280,7 +271,7 @@ def _check_property_m(
     bad = []
     excepted = []
     for v1 in members(low):
-        for t2 in _independent_pairs(idx.apart[v1] & low & ~(1 << v1), adj):
+        for t2 in _independent(idx.apart[v1] & low & ~(1 << v1), adj, 2):
             is_exception = False
             if kind == "H11" and v1 in deg1:
                 others = [u for u in t2 if u in deg1]
@@ -411,7 +402,7 @@ def _check_property_n(
                     hit |= ra[t] | rb[t] | rc[t]
                 rest = low & ~hit
                 if rest.bit_count() > 1:
-                    bad += [(t1, t2, t3) for t3 in _independent_pairs(rest, adj)]
+                    bad += [(t1, t2, t3) for t3 in _independent(rest, adj, 2)]
     return bad
 
 
@@ -437,7 +428,7 @@ def _check_property_o(
     if not h.m:
         return True, None
     missing = vertex_mask(v for v in range(h.n) if deg[v] <= 2 and not idx.by_vertex[v])
-    unhit = _independent_pairs(missing, adj)  # the valid pairs inside item (g)'s set
+    unhit = _independent(missing, adj, 2)  # the valid pairs inside item (g)'s set
     for p1, p2, p3 in combinations(unhit, 3):
         shared = (set(p1) & set(p2)) | (set(p1) & set(p3)) | (set(p2) & set(p3))
         if all(deg[v] <= 1 for v in shared):

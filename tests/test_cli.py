@@ -320,6 +320,31 @@ def test_dual_honours_solve_guard(tmp_path, capsys, monkeypatch):
     assert "guard" in err and not out
 
 
+# 8 vertices, and the first two edges share vertices 1 and 2: not linear
+NON_LINEAR_HG = "p hg 8 3\ne 1 2 3 4\ne 1 2 5 6\ne 6 7 8\n"
+
+
+@pytest.mark.parametrize(
+    "command,env,message",
+    [
+        ("dual", "LINHYP_GUARD_SOLVE_N", "dual requires a linear hypergraph"),
+        ("defic", "LINHYP_GUARD_DEFIC_N", "deficiency is defined over linear hosts here"),
+    ],
+)
+def test_hypotheses_come_before_the_guard(command, env, message, tmp_path, capsys, monkeypatch):
+    # a non-linear host is a usage error whatever the guard; a linear host
+    # over the guard still exceeds it
+    path = tmp_path / "bad.hg"
+    path.write_text(NON_LINEAR_HG, encoding="ascii")
+    monkeypatch.setenv(env, "5")
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out, err) == (EXIT_USAGE, "", f"error: {message}\n")
+    run(capsys, "gen", "--family", "special", "--name", "H10", "--out", str(path))
+    code, out, err = run(capsys, command, str(path))
+    assert (code, out) == (EXIT_GUARD, "")
+    assert err.startswith("guard exceeded: n=10 ")
+
+
 def test_bad_file_exit_code(tmp_path, capsys):
     path = tmp_path / "bad.hg"
     path.write_text("p hg 3 1\ne 1 9\n")
@@ -559,20 +584,25 @@ def test_manifest_keys(case, tmp_path, capsys):
         assert manifest["seed"] == 3
 
 
-# (command, host): each is run in a fresh interpreter under four hash seeds
+# (argv, host): each is run in a fresh interpreter under four hash seeds,
+# with "{host}" standing for the host's file, if there is one
 DETERMINISM_CASES = {
-    "defic-H21_5": ("defic", special("H21_5")),
-    "defic-bridged-H14_2-H10": ("defic", bridged(("H14_2", "H10"), 1, 8)),
-    "defic-random-28": ("defic", random_linear(28, 4, 3, 10, 1)),
-    "solve-onh-g30": ("solve", onh(g30())),
+    "defic-H21_5": (["defic", "{host}"], special("H21_5")),
+    "defic-bridged-H14_2-H10": (["defic", "{host}"], bridged(("H14_2", "H10"), 1, 8)),
+    "defic-random-28": (["defic", "{host}"], random_linear(28, 4, 3, 10, 1)),
+    "solve-onh-g30": (["solve", "{host}"], onh(g30())),
+    "verify-catalog": (["verify", "catalog"], None),
+    "verify-bounds-MAIN5": (["verify", "bounds", "--bound", "MAIN5"], None),
 }
 
 
 @pytest.mark.parametrize("case", list(DETERMINISM_CASES))
 def test_json_is_identical_under_every_hash_seed(case, tmp_path):
-    command, host = DETERMINISM_CASES[case]
+    template, host = DETERMINISM_CASES[case]
     path = tmp_path / "host.hg"
-    path.write_text(hgio.dumps(host), encoding="ascii")
+    if host is not None:
+        path.write_text(hgio.dumps(host), encoding="ascii")
+    argv = [a.format(host=path) for a in template]
     outputs = set()
     for hash_seed in range(4):
         env = dict(
@@ -581,7 +611,7 @@ def test_json_is_identical_under_every_hash_seed(case, tmp_path):
             PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""),
         )
         out = subprocess.run(
-            [sys.executable, "-m", "linhyp.cli", command, str(path)],
+            [sys.executable, "-m", "linhyp.cli", *argv],
             env=env, capture_output=True, timeout=120, check=True,
         ).stdout
         outputs.add(re.sub(rb'"elapsed_ms": [0-9.]+', b'"elapsed_ms": 0', out))

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from linhyp.algebra import affine_residual, random_linear
 from linhyp.catalog import DEFIC_WEIGHT, NAMES, SHAPES, order_class, special
-from linhyp.core import Hypergraph, component_count
+from linhyp.core import Hypergraph, HypergraphError, component_count
 from linhyp.deficiency import (
     SpecialSet,
     _plan,
@@ -254,6 +254,12 @@ class TestDeficiency:
         lone = Hypergraph(6, [range(6)])
         assert find_embeddings(lone, "H4") == []
         assert deficiency(lone)[0] == 0
+
+    def test_hypotheses_come_before_the_guard(self):
+        # 8 vertices, two edges sharing 0 and 1: not linear, and over guard 5
+        host = Hypergraph(8, [[0, 1, 2, 3], [0, 1, 4, 5], [5, 6, 7]])
+        with pytest.raises(HypergraphError, match="linear"):
+            deficiency(host, guard_n=5)
 
 
 class TestXTransversalSize:

@@ -26,7 +26,7 @@ import pytest
 from linhyp import cli
 from linhyp.algebra import affine_plane, affine_residual, random_linear
 from linhyp.catalog import NAMES, SHAPES, order_class, special
-from linhyp.core import Hypergraph
+from linhyp.core import Hypergraph, vertex_mask
 from linhyp.rng import SplitMix64
 from linhyp.solver import GuardExceeded, enumerate_min_transversals, tau
 from linhyp.verify import (
@@ -41,7 +41,7 @@ from linhyp.verify import (
     _check_property_n,
     _check_property_o,
     _check_property_p,
-    _independent_triples,
+    _independent,
     _na,
     _TransversalIndex,
     h11_exceptional_triple,
@@ -451,7 +451,7 @@ def _lowdeg_triples(h: Hypergraph, adj: list[int]):
     ``obs61_suite`` passes them to items (l) and (n)."""
     deg = h.degrees()
     lowdeg = [v for v in range(h.n) if deg[v] <= 2]
-    return lowdeg, _independent_triples(lowdeg, adj)
+    return lowdeg, _independent(vertex_mask(lowdeg), adj, 3)
 
 
 @pytest.mark.parametrize("name", [name for name, _ in ITEM_HOSTS])
@@ -547,6 +547,37 @@ def test_adjacency_masks_match_pairs():
         for u, v in combinations(range(h.n), 2):
             assert bool(adj[u] >> v & 1) == (frozenset((u, v)) in pairs), name
             assert bool(adj[v] >> u & 1) == (frozenset((u, v)) in pairs), name
+
+
+def test_independent_matches_combinations_filter():
+    # seeded random symmetric relations, some vertices isolated and some
+    # joined to themselves (as in ``together``), and random masks, the
+    # empty mask included; every size from 0 to 4
+    rng = SplitMix64(0x1DE)
+    found = empty_masks = 0
+    for trial in range(120):
+        n = rng.randbelow(13)
+        adj = [rng.randbelow(2) << v for v in range(n)]
+        for u, v in combinations(range(n), 2):
+            if rng.randbelow(3) == 0:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+        mask = 0 if trial % 10 == 0 else rng.randbelow(1 << n)
+        empty_masks += not mask
+        inside = [v for v in range(n) if mask >> v & 1]
+        for size in range(5):
+            want = [
+                t for t in combinations(inside, size)
+                if not any(adj[a] >> b & 1 for a, b in combinations(t, 2))
+            ]
+            assert _independent(mask, adj, size) == want, (trial, size)
+            found += size > 2 and bool(want)
+    assert found >= 20 and empty_masks >= 12
+    # 0 and 1 joined, 2 isolated; a vertex joined to itself is still free
+    assert _independent(0b111, [0b010, 0b001, 0], 2) == [(0, 2), (1, 2)]
+    assert _independent(0b111, [0b010, 0b001, 0], 3) == []
+    assert _independent(0b11, [0b01, 0b10], 2) == [(0, 1)]
+    assert _independent(0, [], 0) == [()]
 
 
 # -- minimum-transversal enumeration -----------------------------------------
