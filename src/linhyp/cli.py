@@ -10,7 +10,7 @@ check failed.
 ``main`` owns the output: it hashes the input file before the handler runs,
 appends the run manifest (argv, version, elapsed milliseconds, input hashes,
 seed) to the payload, writes the JSON, and picks the exit code: 0 success /
-all pass, 1 check failed, 2 usage error, 3 guard exceeded.
+all pass, 1 check failed, 2 usage error, 3 guard exceeded, 4 internal defect.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import math
 import os
 import sys
 import time
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,9 +46,10 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
+EXIT_DEFECT = 4
 
 # Errors that mean bad input, reported as exit 2; any other exception from a
-# command is a defect and propagates.
+# command is a defect, reported with its traceback as exit 4.
 USAGE_ERRORS = (
     ArgumentError,
     HypergraphError,
@@ -429,6 +431,9 @@ def main(argv: list[str] | None = None) -> int:
     except USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception:
+        traceback.print_exc()
+        return EXIT_DEFECT
     return EXIT_OK if passed else EXIT_CHECK_FAILED
 
 

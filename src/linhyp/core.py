@@ -12,6 +12,8 @@ import copy
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, repeat
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 
@@ -379,21 +381,35 @@ def _refine(
     order of first appearance, so they are consistent within one call only.
     ``inc`` lists the edge ids at each vertex; lists beyond ``len(col)`` are
     ignored.
+
+    A multiset of colours is keyed by the integer sum(base ** c) over its
+    members c, with base one more than the largest multiplicity a colour
+    can have in it: the largest edge size for an edge's multiset, the
+    largest number of edge ids at a vertex for a vertex's.  Each
+    multiplicity is then one digit of the key in base ``base``, so equal
+    keys mean equal multisets, exactly as equal sorted tuples do.  The
+    colours are named in the same order as with sorted tuples, so every
+    colouring, round count and equitable flag is the same; the sum skips
+    the sort and the tuple.
     """
+    vbase = max(map(len, edges), default=0) + 1
+    ebase = max(map(len, inc), default=0) + 1
     count, ecount = len(set(col)), -1
     spent = 0
     while spent < rounds:
         spent += 1
         names: dict = {}
-        get = col.__getitem__
-        ecol = [names.setdefault(tuple(sorted(map(get, e))), len(names)) for e in edges]
+        power = list(accumulate(repeat(vbase, max(col, default=0)), mul, initial=1))
+        get = [power[c] for c in col].__getitem__
+        ecol = [names.setdefault(sum(map(get, e)), len(names)) for e in edges]
         if len(names) == ecount:
             return col, spent, True
         ecount = len(names)
         names = {}
-        get = ecol.__getitem__
+        power = list(accumulate(repeat(ebase, ecount - 1), mul, initial=1))
+        get = [power[c] for c in ecol].__getitem__
         new = [
-            names.setdefault((c, tuple(sorted(map(get, iv)))), len(names))
+            names.setdefault((c, sum(map(get, iv))), len(names))
             for c, iv in zip(col, inc)
         ]
         if len(names) == count:

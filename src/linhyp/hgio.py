@@ -13,6 +13,8 @@ Writers emit edges in canonical order.
 
 from __future__ import annotations
 
+from operator import lt
+
 from .core import Hypergraph, HypergraphError
 
 
@@ -42,14 +44,14 @@ def loads(text: str) -> Hypergraph:
             if n is None:
                 raise FormatError(f"line {lineno}: edge before header")
             try:
-                vs = [int(x) for x in parts[1:]]
+                vs = list(map(int, parts[1:]))
             except ValueError as exc:
                 raise FormatError(f"line {lineno}: bad vertex id") from exc
             if not vs:
                 raise FormatError(f"line {lineno}: empty edge")
-            if any(v < 1 or v > n for v in vs):
+            if min(vs) < 1 or max(vs) > n:
                 raise FormatError(f"line {lineno}: vertex id out of range")
-            if any(a >= b for a, b in zip(vs, vs[1:])):
+            if not all(map(lt, vs, vs[1:])):
                 raise FormatError(f"line {lineno}: ids not strictly increasing")
             edges.append([v - 1 for v in vs])
         else:

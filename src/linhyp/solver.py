@@ -157,10 +157,24 @@ def tau(h: Hypergraph) -> TransversalResult:
     those room - 1 vertices take 1 each with edges left over.  Branching:
     on the picked part's vertices in descending residual degree (tie:
     lowest id); each later branch forbids the vertices tried before it.
-    The upper bound is seeded by a greedy cover.  Every bound holds in its
-    whole subtree, so tau and the witness (the DFS's first optimum) do not
-    depend on the bounds; ``nodes_explored`` is a work counter that a
-    stronger bound lowers.
+    The upper bound is seeded by a greedy cover.
+
+    Inherited packing.  A node that branches passes its children the
+    degree classes of its fractional walk, as (L // D(e), edge mask) pairs.
+    A child first sums those weights over its own uncovered edges and
+    returns at once, before its edge pass, if the sum exceeds (room - 1) *
+    L.  Restricted to the child's uncovered edges, the parent's y is still
+    a fractional packing.  And it is nowhere above the child's own: the
+    child's allowed parts and residual degrees only shrink, so its D(e) is
+    at most the parent's, and L // d does not grow with d.  So the check
+    fires only where the child's dead-edge, packing or fractional test
+    would return anyway, and it changes neither ``nodes_explored``, the
+    visit order, the witness nor which orbit tests get built; it ends those
+    nodes without their edge pass.
+
+    Every bound holds in its whole subtree, so tau and the witness (the
+    DFS's first optimum) do not depend on the bounds; ``nodes_explored`` is
+    a work counter that a stronger bound lowers.
 
     Orbit rule (Ostrowski, Linderoth, Rossi and Smriglio, *Orbital
     branching*, Math. Program. 2011), at every node.  Take a node with
@@ -296,15 +310,25 @@ def tau(h: Hypergraph) -> TransversalResult:
         scope = sum(bit for bit, em in edge_at.items() if em & vertices)
         part = vertices
         autos, rigid, edge_size = None, False, 0.0
-        dfs(scope, [], 0)
+        dfs(scope, [], 0, [])
 
-    def dfs(unc: int, chosen: list[int], forbidden: int) -> None:
+    def dfs(
+        unc: int, chosen: list[int], forbidden: int, inherited: list[tuple[int, int]]
+    ) -> None:
         nonlocal best_size, best_set, nodes, dominated
         nodes += 1
         if not unc:
             if len(chosen) < best_size:
                 best_size = len(chosen)
                 best_set = list(chosen)
+            return
+        # the parent's fractional packing, as (L // d, edges) pairs, on the
+        # edges left here: no larger than this node's own
+        room = best_size - len(chosen)
+        load = 0
+        for w, hit in inherited:
+            load += (unc & hit).bit_count() * w
+        if load > (room - 1) * lcm_all:
             return
         allow = ~forbidden
         reach = taken = packing = whole_taken = whole_packing = 0
@@ -327,7 +351,6 @@ def tau(h: Hypergraph) -> TransversalResult:
             sz = allowed.bit_count()
             if sz < pick_size:
                 pick, pick_size = allowed, sz
-        room = best_size - len(chosen)
         if packing >= room or whole_packing >= room:
             return
         # the union of the incidence masks of the allowed vertices of each
@@ -342,10 +365,12 @@ def tau(h: Hypergraph) -> TransversalResult:
         # largest residual degree of e's allowed vertices, so no allowed
         # vertex carries more than 1; prune unless room - 1 >= sum(y_e)
         left, load = unc, 0
+        classes = []
         for d in degrees_down:
             hit = left & over[d]
             if hit:
                 load += hit.bit_count() * weight[d]
+                classes.append((weight[d], hit))
                 left ^= hit
                 if not left:
                     break
@@ -378,7 +403,7 @@ def tau(h: Hypergraph) -> TransversalResult:
             if not (tests and any(test(bit.bit_length() - 1) for test in tests)):
                 before = nodes + dominated
                 chosen.append(bit.bit_length() - 1)
-                dfs(unc & ~inc_at[bit], chosen, banned)
+                dfs(unc & ~inc_at[bit], chosen, banned, classes)
                 v = chosen.pop()
                 spent = nodes + dominated - before
                 if spent >= _TEST_NODES:
@@ -387,7 +412,7 @@ def tau(h: Hypergraph) -> TransversalResult:
                         tests.append(test)
             banned |= bit
 
-    dfs(everything, [], 0)
+    dfs(everything, [], 0, [])
     result = TransversalResult(
         best_size, tuple(sorted(best_set)), nodes, "branch_and_bound"
     )

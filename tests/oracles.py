@@ -4,6 +4,7 @@ oracles by the tests."""
 
 from __future__ import annotations
 
+import math
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -239,6 +240,51 @@ def iso_backtrack(
     if bt(0):
         return dict(mapping)
     return None
+
+
+# A frozen copy of the colour refinement before it coded each colour
+# multiset as an integer: the multisets are sorted tuples here.  The
+# colourings, round counts and equitable flags are the contract.
+
+def refine_sorted_tuples(
+    col: list[int],
+    edges: Sequence[Sequence[int]],
+    inc: Sequence[Sequence[int]],
+    rounds: float = math.inf,
+) -> tuple[list[int], int, bool]:
+    """Refine the vertex colouring ``col`` towards the coarsest equitable one
+    for at most ``rounds`` rounds; return the colouring reached, the rounds
+    spent and whether it is equitable.
+
+    Each round an edge takes the multiset of its vertices' colours, and a
+    vertex its old colour with the multiset of its edges' colours; rounds
+    repeat until no colour class splits.  Both partitions only ever split,
+    so equal class counts mean equal partitions, and edge classes that did
+    not split leave the vertex classes as they are.  Colours are named in
+    order of first appearance, so they are consistent within one call only.
+    ``inc`` lists the edge ids at each vertex; lists beyond ``len(col)`` are
+    ignored.
+    """
+    count, ecount = len(set(col)), -1
+    spent = 0
+    while spent < rounds:
+        spent += 1
+        names: dict = {}
+        get = col.__getitem__
+        ecol = [names.setdefault(tuple(sorted(map(get, e))), len(names)) for e in edges]
+        if len(names) == ecount:
+            return col, spent, True
+        ecount = len(names)
+        names = {}
+        get = ecol.__getitem__
+        new = [
+            names.setdefault((c, tuple(sorted(map(get, iv)))), len(names))
+            for c, iv in zip(col, inc)
+        ]
+        if len(names) == count:
+            return col, spent, True
+        col, count = new, len(names)
+    return col, spent, False
 
 
 # A frozen copy of the blossom search before its per-root state was shared:

@@ -13,8 +13,8 @@ import pytest
 
 from linhyp import cli, hgio
 from linhyp.catalog import special
-from linhyp.cli import EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
-from linhyp.core import hypergraph_isomorphic, onh
+from linhyp.cli import EXIT_CHECK_FAILED, EXIT_DEFECT, EXIT_GUARD, EXIT_OK, EXIT_USAGE, main
+from linhyp.core import CertificateError, hypergraph_isomorphic, onh
 from linhyp.algebra import affine_plane, g30, random_linear
 
 from corpus import bridged
@@ -219,28 +219,29 @@ def test_unknown_special_name_exit_code(capsys):
     assert "unknown special hypergraph" in err
 
 
-def test_library_key_error_propagates(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("error", [KeyError, ValueError, CertificateError])
+def test_library_defect_exits_4(tmp_path, capsys, monkeypatch, error):
+    # an exception that is neither a guard nor a named input error is a
+    # defect: exit 4, with its traceback on stderr and no JSON on stdout
     path = tmp_path / "f9.hg"
     run(capsys, "gen", "--family", "ag", "--q", "3", "--out", str(path))
 
     def broken_tau(h):
-        raise KeyError("internal")
+        raise error("internal")
 
     monkeypatch.setattr(cli, "tau", broken_tau)
-    with pytest.raises(KeyError, match="internal"):
-        main(["solve", str(path)])
+    code, out, err = run(capsys, "solve", str(path))
+    assert (code, out) == (EXIT_DEFECT, "")
+    assert err.startswith("Traceback (most recent call last):")
+    assert "broken_tau" in err and f"{error.__name__}: " in err and "internal" in err
 
 
-def test_library_value_error_propagates(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "f9.hg"
-    run(capsys, "gen", "--family", "ag", "--q", "3", "--out", str(path))
-
-    def broken_tau(h):
-        raise ValueError("internal")
-
-    monkeypatch.setattr(cli, "tau", broken_tau)
-    with pytest.raises(ValueError, match="internal"):
-        main(["solve", str(path)])
+def test_failed_check_still_exits_1(capsys, monkeypatch):
+    # a check that fails is an answer, not a defect: its JSON, and exit 1
+    monkeypatch.setattr(cli, "defic_identity_check", lambda kind: kind != "H10")
+    code, payload, err = run_json(capsys, "verify", "catalog")
+    assert (code, payload["all_passed"], err) == (EXIT_CHECK_FAILED, False, "")
+    assert [k for k, e in payload["subjects"].items() if not e["passed"]] == ["H10"]
 
 
 def test_probability_argument_exit_code(capsys):

@@ -46,6 +46,17 @@ def test_rejections(text):
         hgio.loads(text)
 
 
+def test_rejection_messages_keep_their_order_and_line():
+    # a line that breaks two rules reports the first of: bad id, empty,
+    # out of range, not increasing
+    with pytest.raises(hgio.FormatError, match="^line 3: vertex id out of range$"):
+        hgio.loads("p hg 3 2\ne 1 2\ne 5 1\n")
+    with pytest.raises(hgio.FormatError, match="^line 2: bad vertex id$"):
+        hgio.loads("p hg 3 1\ne 9 x\n")
+    with pytest.raises(hgio.FormatError, match="^line 2: ids not strictly increasing$"):
+        hgio.loads("p hg 3 1\ne 3 2\n")
+
+
 def test_comments_ignored():
     h = hgio.loads("c a comment\nc another\np hg 3 1\ne 1 3\n")
     assert h.edges == ((0, 2),)

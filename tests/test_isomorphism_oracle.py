@@ -9,6 +9,7 @@ multiset, independently of the library's own leaf check.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -22,14 +23,17 @@ from linhyp.catalog import NAMES, special
 from linhyp.core import (
     Automorphisms,
     Hypergraph,
+    _refine,
+    _Union,
     bipartite_complement,
     graph_isomorphic,
     hypergraph_isomorphic,
     onh,
 )
+from linhyp.rng import SplitMix64
 
 from corpus import relabel
-from oracles import complete_bipartite, cycle_graph, iso_backtrack
+from oracles import complete_bipartite, cycle_graph, iso_backtrack, refine_sorted_tuples
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -240,3 +244,49 @@ def test_leaf_check_rejects_non_automorphisms_under_optimize():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["1", "30", "30", "True", "False"]
+
+
+# The unions on which the integer-coded refinement is checked against the
+# frozen sorted-tuple one: each host with itself, and the Heawood graph with
+# a relabelled copy, as graph_isomorphic builds it.
+_HEAWOOD = heawood()
+REFINED = [
+    (name, _Union(h.n, h.edges, h.edges))
+    for name, h in [(name, special(name)) for name in NAMES]
+    + [(f"AG(2,{q})", affine_plane(q)) for q in (2, 3, 4, 5, 7)]
+    + [(f"PG(2,{q})", projective_plane(q)) for q in (2, 3, 4, 5)]
+    + [
+        ("onh(g30)", onh(g30())),
+        ("Z60(0,1,7)", Hypergraph(60, [(i, (i + 1) % 60, (i + 7) % 60) for i in range(60)])),
+    ]
+] + [(
+    "heawood-graph",
+    _Union(_HEAWOOD.n, _HEAWOOD.edges, relabel(Hypergraph(_HEAWOOD.n, _HEAWOOD.edges), 11).edges),
+)]
+
+
+def _seeded_colourings(rng: SplitMix64, n: int):
+    # colourings of the union with 1, 2, 3 or n colours; the all-one
+    # colouring; and one vertex of each copy individualised, as an orbit
+    # query starts
+    for _ in range(6):
+        k = (1, 2, 3, n)[rng.randbelow(4)]
+        yield [rng.randbelow(k) for _ in range(2 * n)]
+    yield [0] * (2 * n)
+    col = [0] * (2 * n)
+    col[rng.randbelow(n)] = col[n + rng.randbelow(n)] = 1
+    yield col
+
+
+@pytest.mark.parametrize("name,union", REFINED, ids=[name for name, _ in REFINED])
+def test_refine_matches_frozen_sorted_tuples(name, union):
+    # the same colouring, round count and equitable flag under every budget,
+    # on the whole union (as _Union.search refines it) and on the first copy
+    # alone (as Automorphisms does, reading only the first n incidence lists)
+    n, rng = union.n, SplitMix64(0x2EF1)
+    for col in _seeded_colourings(rng, n):
+        for budget in (1, 2, 3, 1 + rng.randbelow(8), math.inf):
+            for edges, start in ((union.edges, col), (union.e1, col[:n])):
+                got = _refine(list(start), edges, union.inc, budget)
+                want = refine_sorted_tuples(list(start), edges, union.inc, budget)
+                assert got == want, (name, budget)

@@ -472,6 +472,19 @@ def test_orbit_rule_node_counts(monkeypatch):
     assert tau(affine_residual(7, 5)).nodes_explored == 469
 
 
+def test_deep_shrunk_plane_hosts():
+    # the two shrunk PG(2,7) hosts of `prob mc --p 7 --seed 7`, the deepest
+    # searches of the benchmark's tau ops: a child's entry check on its
+    # parent's fractional packing ends many of their nodes before the edge
+    # pass, and must change neither tau, the witness nor the node count
+    pg7 = projective_plane(7)
+    got = [tau(shrink(pg7, ShrinkConfig(4, 7 ^ (0x51AB1E * (t + 1))))) for t in range(2)]
+    assert [(r.tau, r.witness, r.nodes_explored) for r in got] == [
+        (14, (4, 6, 10, 14, 15, 16, 21, 25, 28, 29, 40, 44, 53, 56), 2215),
+        (15, (0, 1, 4, 12, 15, 16, 17, 19, 20, 22, 23, 34, 41, 45, 53), 3024),
+    ]
+
+
 def test_orbit_rule_below_the_root_on_ag7():
     # 943,062 nodes with the rule at the root only, 58,431 before the
     # dominance rule, and 48,481 while a child's subtree could build tests
